@@ -14,33 +14,25 @@ namespace vizcache {
 ImportanceTable ImportanceTable::build(const BlockStore& store, usize bins,
                                        usize var, usize timestep,
                                        ThreadPool* pool) {
+  return build(store, BlockMetadataTable::build(store, var + 1, timestep, pool),
+               bins, var, timestep, pool);
+}
+
+ImportanceTable ImportanceTable::build(const BlockStore& store,
+                                       const BlockMetadataTable& metadata,
+                                       usize bins, usize var, usize timestep,
+                                       ThreadPool* pool) {
   const usize n = store.grid().block_count();
   VIZ_REQUIRE(n > 0, "empty block grid");
+  VIZ_REQUIRE(metadata.block_count() == n, "metadata/grid block count mismatch");
+  VIZ_REQUIRE(var < metadata.variable_count(), "variable out of range");
 
-  // Pass 1: global value range so entropies are comparable across blocks.
-  // Per-block extrema land in preallocated slots; the min/max reduction is
-  // serial, so the result is order-independent and deterministic.
-  std::vector<float> block_lo(n, std::numeric_limits<float>::infinity());
-  std::vector<float> block_hi(n, -std::numeric_limits<float>::infinity());
-  parallel_for(pool, 0, n, 1, [&](usize id_lo, usize id_hi) {
-    for (usize id = id_lo; id < id_hi; ++id) {
-      std::vector<float> payload =
-          store.read_block(static_cast<BlockId>(id), var, timestep);
-      for (float v : payload) {
-        block_lo[id] = std::min(block_lo[id], v);
-        block_hi[id] = std::max(block_hi[id], v);
-      }
-    }
-  });
-  float lo = std::numeric_limits<float>::infinity();
-  float hi = -std::numeric_limits<float>::infinity();
-  for (usize id = 0; id < n; ++id) {
-    lo = std::min(lo, block_lo[id]);
-    hi = std::max(hi, block_hi[id]);
-  }
-  if (!(lo < hi)) hi = lo + 1.0f;  // constant dataset
+  // Global value range so entropies are comparable across blocks.
+  const std::pair<float, float> range = metadata.variable_range(var);
+  const float lo = range.first;
+  const float hi = lo < range.second ? range.second : lo + 1.0f;  // constant
 
-  // Pass 2: per-block entropy (each block writes only its own slot).
+  // Per-block entropy (each block writes only its own slot).
   ImportanceTable table;
   table.entropy_bits_.resize(n);
   parallel_for(pool, 0, n, 1, [&](usize id_lo, usize id_hi) {
@@ -196,6 +188,33 @@ void ImportanceTable::save(const std::string& path) const {
   out.write(reinterpret_cast<const char*>(entropy_bits_.data()),
             static_cast<std::streamsize>(n * sizeof(double)));
   if (!out) throw IoError("importance table write failed: " + path);
+}
+
+usize preload_ranked(const ImportanceTable& importance, double sigma_bits,
+                     u64 budget_bytes,
+                     const std::function<u64(BlockId)>& bytes_of,
+                     const std::function<void(BlockId)>& preload) {
+  const std::vector<BlockId>& ranked = importance.ranked();
+  // Suffix minima of the ranked blocks' sizes: once the budget drops below
+  // the smallest block still ahead, no candidate can fit and the scan stops
+  // instead of walking the rest of the ranking doing entropy lookups.
+  std::vector<u64> min_bytes_ahead(ranked.size() + 1,
+                                   std::numeric_limits<u64>::max());
+  for (usize i = ranked.size(); i-- > 0;) {
+    min_bytes_ahead[i] = std::min(min_bytes_ahead[i + 1], bytes_of(ranked[i]));
+  }
+  usize scanned = 0;
+  for (usize i = 0; i < ranked.size(); ++i) {
+    if (budget_bytes < min_bytes_ahead[i]) break;  // nothing ahead can fit
+    ++scanned;
+    const BlockId id = ranked[i];
+    if (importance.entropy(id) <= sigma_bits) break;
+    const u64 bytes = bytes_of(id);
+    if (bytes > budget_bytes) continue;  // a smaller block may still fit
+    preload(id);
+    budget_bytes -= bytes;
+  }
+  return scanned;
 }
 
 SamplingMask make_sampling_mask(const ImportanceTable& table,

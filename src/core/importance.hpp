@@ -1,10 +1,12 @@
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "render/sampling_mask.hpp"
 #include "util/thread_pool.hpp"
+#include "volume/block_metadata.hpp"
 #include "volume/block_store.hpp"
 
 namespace vizcache {
@@ -16,15 +18,24 @@ namespace vizcache {
 /// blocks score ~0.
 class ImportanceTable {
  public:
-  /// Scan every block of (var, timestep) once: first pass finds the global
-  /// value range, second computes per-block histogram entropies with `bins`
-  /// equal bins over that range. Both passes chunk across `pool` when one is
-  /// given (per-block partial results, serial reduction — the table is
+  /// Per-block histogram entropies of (var, timestep), with `bins` equal
+  /// bins over the variable's global value range. The range comes from a
+  /// BlockMetadataTable scan of variables 0..var, then one more pass reads
+  /// every block for its histogram. Both passes chunk across `pool` when one is given (per-block
+  /// results in preallocated slots, serial reductions — the table is
   /// identical regardless of pool size); `store.read_block` must then be
   /// const-thread-safe, which every BlockStore in the repo is.
   static ImportanceTable build(const BlockStore& store, usize bins = 256,
                                usize var = 0, usize timestep = 0,
                                ThreadPool* pool = nullptr);
+
+  /// As above, with the global range taken from `metadata`, which must hold
+  /// `var` of the same store at the same `timestep`: each block is read once
+  /// here instead of twice.
+  static ImportanceTable build(const BlockStore& store,
+                               const BlockMetadataTable& metadata,
+                               usize bins = 256, usize var = 0,
+                               usize timestep = 0, ThreadPool* pool = nullptr);
 
   /// Alternative metric: mean gradient magnitude per block (central
   /// differences inside the brick). High-gradient blocks carry surfaces and
@@ -78,6 +89,18 @@ class ImportanceTable {
 
   void build_ranking();
 };
+
+/// Algorithm 1 line 7's importance preload: walk `importance.ranked()` most
+/// important first and call `preload(id)` for every block with entropy above
+/// `sigma_bits` that fits what is left of `budget_bytes`. A block too large
+/// for the remaining budget is skipped, not a stop: a smaller, less
+/// important block may still fit. The walk ends at the first block at or
+/// below sigma, or once no block ahead is small enough for the budget.
+/// Returns the number of ranked entries examined.
+usize preload_ranked(const ImportanceTable& importance, double sigma_bits,
+                     u64 budget_bytes,
+                     const std::function<u64(BlockId)>& bytes_of,
+                     const std::function<void(BlockId)>& preload);
 
 /// Importance-masked adaptive sampling wiring: blocks whose entropy exceeds
 /// `sigma_bits` keep the full sampling rate (stride 1), everything else is

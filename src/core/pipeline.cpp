@@ -37,18 +37,10 @@ RunResult VizPipeline::run(const CameraPath& path,
   // with entropy above sigma enter fast memory (capacity permitting), most
   // important first. Preloading is pre-processing: no time is charged.
   if (config_.app_aware && config_.preload_important) {
-    const u64 capacity = hierarchy_.cache(0).capacity_bytes();
-    u64 budget = capacity;
-    for (BlockId id : importance_->ranked()) {
-      if (importance_->entropy(id) <= config_.sigma_bits) break;
-      const u64 bytes = grid_.block_bytes(id);
-      // A block too large for the remaining budget does not end the preload:
-      // a smaller, less important block may still fit (the parallel pipeline
-      // always skipped instead of stopping; keep the two in lockstep).
-      if (bytes > budget) continue;  // fill fast memory, never thrash it
-      hierarchy_.preload(id);
-      budget -= bytes;
-    }
+    preload_ranked(
+        *importance_, config_.sigma_bits, hierarchy_.cache(0).capacity_bytes(),
+        [this](BlockId id) { return grid_.block_bytes(id); },
+        [this](BlockId id) { hierarchy_.preload(id); });
   }
 
   RunResult result;

@@ -46,16 +46,14 @@ RunResult TemporalPipeline::run(const CameraPath& path) {
   // Preload: the most important blocks of the FIRST timestep (playback
   // starts there).
   if (config_.app_aware && config_.preload_important) {
-    const u64 capacity = hierarchy_.cache(0).capacity_bytes();
-    u64 budget = capacity;
-    const ImportanceTable& imp0 = (*importance_)[0];
-    for (BlockId id : imp0.ranked()) {
-      if (imp0.entropy(id) <= config_.sigma_bits) break;
-      const u64 bytes = grid_.block_bytes(id);
-      if (bytes > budget) break;
-      hierarchy_.preload(TimeBlockKey::pack(id, 0, grid_.block_count()));
-      budget -= bytes;
-    }
+    const usize nblocks = grid_.block_count();
+    preload_ranked(
+        (*importance_)[0], config_.sigma_bits,
+        hierarchy_.cache(0).capacity_bytes(),
+        [this](BlockId id) { return grid_.block_bytes(id); },
+        [&](BlockId id) {
+          hierarchy_.preload(TimeBlockKey::pack(id, 0, nblocks));
+        });
   }
 
   RunResult result;

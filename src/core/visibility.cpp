@@ -1,7 +1,5 @@
 #include "core/visibility.hpp"
 
-#include "util/error.hpp"
-
 namespace vizcache {
 
 BlockBoundsIndex::BlockBoundsIndex(const BlockGrid& grid)
@@ -21,10 +19,7 @@ std::vector<BlockId> BlockBoundsIndex::visible_blocks(
 
 void BlockBoundsIndex::mark_visible(const Camera& camera,
                                     std::vector<u8>& mask) const {
-  VIZ_REQUIRE(mask.size() == bounds_.size(), "mask size mismatch");
-  for (BlockId id : octree_.query_frustum(ConeFrustum(camera))) {
-    mask[id] = 1;
-  }
+  octree_.mark_frustum(ConeFrustum(camera), mask);
 }
 
 std::vector<BlockId> compute_visible_blocks(const Camera& camera,

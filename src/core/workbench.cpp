@@ -6,17 +6,37 @@
 
 namespace vizcache {
 
-Workbench::Workbench(const WorkbenchSpec& spec) : spec_(spec) {
-  pool_ = std::make_unique<ThreadPool>();  // hardware concurrency
-  SyntheticVolume volume = make_dataset(spec_.dataset, spec_.scale);
+namespace {
+
+std::unique_ptr<BlockStore> make_store(const WorkbenchSpec& spec) {
+  SyntheticVolume volume = make_dataset(spec.dataset, spec.scale);
   BlockGrid grid =
-      BlockGrid::with_target_block_count(volume.desc.dims, spec_.target_blocks);
-  store_ = std::make_unique<SyntheticBlockStore>(std::move(volume),
-                                                 grid.block_dims());
+      BlockGrid::with_target_block_count(volume.desc.dims, spec.target_blocks);
+  return std::make_unique<SyntheticBlockStore>(std::move(volume),
+                                               grid.block_dims());
+}
+
+}  // namespace
+
+Workbench::Workbench(const WorkbenchSpec& spec)
+    : Workbench(spec, make_store(spec)) {}
+
+Workbench::Workbench(const WorkbenchSpec& spec,
+                     std::unique_ptr<BlockStore> store)
+    : spec_(spec),
+      pool_(std::make_unique<ThreadPool>()),  // hardware concurrency
+      store_(std::move(store)) {
+  VIZ_REQUIRE(store_ != nullptr, "workbench needs a block store");
+  const BlockGrid& grid = store_->grid();
+  // Set-up reads every block at most twice: once for the metadata (whose
+  // per-block extrema also give T_important its global value range), once
+  // more for the entropy histograms.
+  metadata_ = std::make_unique<BlockMetadataTable>(
+      BlockMetadataTable::build(*store_, 1, 0, pool_.get()));
   switch (spec_.importance_metric) {
     case WorkbenchSpec::ImportanceMetric::kEntropy:
       importance_ = std::make_unique<ImportanceTable>(ImportanceTable::build(
-          *store_, spec_.entropy_bins, 0, 0, pool_.get()));
+          *store_, *metadata_, spec_.entropy_bins, 0, 0, pool_.get()));
       break;
     case WorkbenchSpec::ImportanceMetric::kGradient:
       importance_ = std::make_unique<ImportanceTable>(
@@ -27,8 +47,6 @@ Workbench::Workbench(const WorkbenchSpec& spec) : spec_(spec) {
           ImportanceTable::build_random(grid.block_count()));
       break;
   }
-  metadata_ = std::make_unique<BlockMetadataTable>(
-      BlockMetadataTable::build(*store_, 1));
   sigma_bits_ = importance_->threshold_for_fraction(spec_.sigma_fraction);
   if (!spec_.max_blocks_per_entry) {
     // Paper Section IV-B: ideally predicted + current visible blocks just

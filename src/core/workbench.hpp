@@ -51,7 +51,13 @@ struct WorkbenchSpec {
 /// camera paths with cold caches per run.
 class Workbench {
  public:
+  /// Generates `spec.dataset` at `spec.scale` into a SyntheticBlockStore.
   explicit Workbench(const WorkbenchSpec& spec);
+
+  /// Builds the tables over a caller-supplied store instead (for example
+  /// one that instruments reads); `spec.dataset`, `spec.scale` and
+  /// `spec.target_blocks` are then unused.
+  Workbench(const WorkbenchSpec& spec, std::unique_ptr<BlockStore> store);
 
   const WorkbenchSpec& spec() const { return spec_; }
   const BlockGrid& grid() const { return store_->grid(); }

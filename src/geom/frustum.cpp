@@ -1,6 +1,5 @@
 #include "geom/frustum.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace vizcache {
@@ -9,7 +8,8 @@ ConeFrustum::ConeFrustum(const Camera& camera)
     : apex_(camera.position()),
       axis_(camera.view_direction()),
       half_angle_(camera.view_angle_rad() * 0.5),
-      cos_half_angle_(std::cos(half_angle_)) {}
+      cos_half_angle_(std::cos(half_angle_)),
+      sin_half_angle_(std::sin(half_angle_)) {}
 
 bool ConeFrustum::contains_point(const Vec3& p) const {
   Vec3 to_p = p - apex_;
@@ -18,17 +18,31 @@ bool ConeFrustum::contains_point(const Vec3& p) const {
   return to_p.dot(axis_) >= cos_half_angle_ * n;
 }
 
-bool ConeFrustum::may_intersect_sphere(const Vec3& center,
-                                       double radius) const {
-  Vec3 to_c = center - apex_;
-  double dist = to_c.norm();
-  if (dist <= radius) return true;  // the apex is inside the sphere
-  // The smallest possible angle between the axis and any point of the
-  // sphere is angle(axis, center) - asin(radius / dist); if even that
-  // exceeds the half-angle the sphere cannot touch the cone.
-  double center_angle = angle_between(axis_, to_c);
-  double angular_radius = std::asin(std::min(1.0, radius / dist));
-  return center_angle - angular_radius <= half_angle_;
+ConeOverlap ConeFrustum::classify_sphere(const Vec3& center,
+                                         double radius) const {
+  // Work in the half-plane through the axis and the center: t is the
+  // center's axial coordinate and h its distance from the axis. There the
+  // cone is the wedge within half_angle_ of the axis, and s = h cos - t sin
+  // is the signed distance from the center to the wedge's edge line
+  // (positive outside). The whole cone lies on the inner side of that line,
+  // and no inner point is nearer the line than the cone's surface, so
+  // |s| >= radius settles the verdict either way.
+  const Vec3 to_c = center - apex_;
+  const double t = to_c.dot(axis_);
+  const double h = to_c.cross(axis_).norm();
+  const double s = h * cos_half_angle_ - t * sin_half_angle_;
+  // Rounding in contains_point is ~1e-16 relative to the distances here;
+  // 1e-9 keeps every verdict that is not kPartial far clear of it.
+  const double reach = radius + 1e-9 * (std::abs(t) + h + radius);
+  if (s > reach) return ConeOverlap::kOutside;
+  if (-s >= reach) return ConeOverlap::kInside;
+  // When the center's foot on the edge line falls behind the apex, the
+  // cone's nearest point is the apex itself.
+  if (t * cos_half_angle_ + h * sin_half_angle_ < 0.0 &&
+      t * t + h * h > reach * reach) {
+    return ConeOverlap::kOutside;
+  }
+  return ConeOverlap::kPartial;
 }
 
 bool ConeFrustum::intersects_block(const AABB& block) const {

@@ -5,6 +5,13 @@
 
 namespace vizcache {
 
+/// Where a sphere lies relative to a view cone (hierarchical culling).
+enum class ConeOverlap {
+  kOutside,  ///< certainly disjoint from the cone
+  kPartial,  ///< may straddle the cone's surface: run the exact test
+  kInside,   ///< certainly inside the cone, by a margin
+};
+
 /// View-cone visibility test from the paper (Section IV-B, Eq. 1).
 ///
 /// The frustum of a camera at v looking at the volume center o is modeled as
@@ -27,16 +34,20 @@ class ConeFrustum {
   /// Paper Eq. 1 on the eight corners, plus robustness extensions.
   bool intersects_block(const AABB& block) const;
 
-  /// Conservative sphere test: false only when the sphere certainly lies
-  /// outside the cone (no false negatives — used for hierarchical culling,
-  /// e.g. octree nodes, where a wrong reject would drop a whole subtree).
-  bool may_intersect_sphere(const Vec3& center, double radius) const;
+  /// Conservative, trig-free sphere classification for hierarchical culling
+  /// (octree nodes, where a wrong verdict would drop or accept a whole
+  /// subtree). kOutside and kInside are only returned with a small relative
+  /// margin to spare, so every point of an kOutside sphere fails
+  /// contains_point and every point of an kInside sphere passes it despite
+  /// rounding; anything closer to the cone's surface is kPartial.
+  ConeOverlap classify_sphere(const Vec3& center, double radius) const;
 
  private:
   Vec3 apex_;
   Vec3 axis_;       // unit vector toward the volume center
   double half_angle_;
   double cos_half_angle_;
+  double sin_half_angle_;
 };
 
 }  // namespace vizcache

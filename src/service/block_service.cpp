@@ -40,28 +40,13 @@ BlockService::BlockService(const BlockGrid& grid, MemoryHierarchy hierarchy,
   if (config_.app_aware && config_.preload_important) {
     MetricCounter& scanned = metrics_.counter("service.preload.scanned");
     MetricCounter& preloaded = metrics_.counter("service.preload.blocks");
-    const std::vector<BlockId>& ranked = importance_->ranked();
-    // Suffix minima of the ranked blocks' sizes: once the budget drops below
-    // the smallest block still ahead, no candidate can fit and the scan must
-    // stop instead of walking the rest of the ranking doing entropy lookups.
-    std::vector<u64> min_bytes_ahead(ranked.size() + 1,
-                                     std::numeric_limits<u64>::max());
-    for (usize i = ranked.size(); i-- > 0;) {
-      min_bytes_ahead[i] =
-          std::min(min_bytes_ahead[i + 1], grid_.block_bytes(ranked[i]));
-    }
-    u64 budget = shared_.fast_capacity_bytes();
-    for (usize i = 0; i < ranked.size(); ++i) {
-      if (budget < min_bytes_ahead[i]) break;  // nothing ahead can fit
-      scanned.inc();
-      const BlockId id = ranked[i];
-      if (importance_->entropy(id) <= config_.sigma_bits) break;
-      const u64 bytes = grid_.block_bytes(id);
-      if (bytes > budget) continue;  // a smaller block may still fit
-      shared_.preload(id);
-      preloaded.inc();
-      budget -= bytes;
-    }
+    scanned.inc(preload_ranked(
+        *importance_, config_.sigma_bits, shared_.fast_capacity_bytes(),
+        [this](BlockId id) { return grid_.block_bytes(id); },
+        [&](BlockId id) {
+          shared_.preload(id);
+          preloaded.inc();
+        }));
   }
 }
 

@@ -9,7 +9,8 @@
 namespace vizcache {
 
 BlockMetadataTable BlockMetadataTable::build(const BlockStore& store,
-                                             usize variables, usize timestep) {
+                                             usize variables, usize timestep,
+                                             ThreadPool* pool) {
   if (variables == 0) variables = store.desc().variables;
   VIZ_REQUIRE(variables <= store.desc().variables,
               "more variables requested than the dataset has");
@@ -20,23 +21,25 @@ BlockMetadataTable BlockMetadataTable::build(const BlockStore& store,
   table.entries_.resize(table.blocks_ * variables);
 
   for (usize var = 0; var < variables; ++var) {
-    for (BlockId id = 0; id < table.blocks_; ++id) {
-      std::vector<float> payload = store.read_block(id, var, timestep);
-      Entry e;
-      e.min = std::numeric_limits<float>::infinity();
-      e.max = -std::numeric_limits<float>::infinity();
-      double sum = 0.0;
-      for (float v : payload) {
-        e.min = std::min(e.min, v);
-        e.max = std::max(e.max, v);
-        sum += static_cast<double>(v);
+    parallel_for(pool, 0, table.blocks_, 1, [&](usize id_lo, usize id_hi) {
+      for (usize id = id_lo; id < id_hi; ++id) {
+        std::vector<float> payload =
+            store.read_block(static_cast<BlockId>(id), var, timestep);
+        Entry e;
+        e.min = std::numeric_limits<float>::infinity();
+        e.max = -std::numeric_limits<float>::infinity();
+        double sum = 0.0;
+        for (float v : payload) {
+          e.min = std::min(e.min, v);
+          e.max = std::max(e.max, v);
+          sum += static_cast<double>(v);
+        }
+        e.mean = payload.empty() ? 0.0f
+                                 : static_cast<float>(
+                                       sum / static_cast<double>(payload.size()));
+        table.entries_[var * table.blocks_ + id] = e;
       }
-      e.mean = payload.empty()
-                   ? 0.0f
-                   : static_cast<float>(sum / static_cast<double>(payload.size()));
-      if (payload.empty()) e.min = e.max = 0.0f;
-      table.entries_[var * table.blocks_ + id] = e;
-    }
+    });
   }
   return table;
 }
@@ -73,7 +76,7 @@ std::pair<float, float> BlockMetadataTable::variable_range(usize var) const {
     lo = std::min(lo, e.min);
     hi = std::max(hi, e.max);
   }
-  if (blocks_ == 0) lo = hi = 0.0f;
+  if (lo > hi) lo = hi = 0.0f;  // no blocks, or only empty ones
   return {lo, hi};
 }
 

@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "util/thread_pool.hpp"
 #include "volume/block_store.hpp"
 
 namespace vizcache {
@@ -15,6 +16,8 @@ namespace vizcache {
 /// data-dependent operations, Fig. 1 d/e).
 class BlockMetadataTable {
  public:
+  /// An empty payload has the empty interval (min +inf, max -inf, mean 0):
+  /// it intersects no range and never widens variable_range().
   struct Entry {
     float min = 0.0f;
     float max = 0.0f;
@@ -22,9 +25,13 @@ class BlockMetadataTable {
   };
 
   /// Scan every block of every requested variable once at `timestep`.
-  /// `variables` == 0 means all variables of the store.
+  /// `variables` == 0 means all variables of the store. Blocks are chunked
+  /// across `pool` when one is given; each block writes only its own slot,
+  /// so the table is identical regardless of pool size (`store.read_block`
+  /// must then be const-thread-safe, which every BlockStore in the repo is).
   static BlockMetadataTable build(const BlockStore& store, usize variables = 0,
-                                  usize timestep = 0);
+                                  usize timestep = 0,
+                                  ThreadPool* pool = nullptr);
 
   usize block_count() const { return blocks_; }
   usize variable_count() const { return variables_; }
@@ -37,7 +44,8 @@ class BlockMetadataTable {
   /// All blocks whose interval for `var` intersects [lo, hi], ascending.
   std::vector<BlockId> blocks_in_range(usize var, float lo, float hi) const;
 
-  /// Global value range of a variable across all blocks.
+  /// Global value range of a variable across all blocks ({0, 0} when no
+  /// block holds a value).
   std::pair<float, float> variable_range(usize var) const;
 
   /// Binary serialization (pre-processing artifact, like the two tables).

@@ -18,6 +18,7 @@ BlockOctree BlockOctree::build(const BlockGrid& grid,
   tree.has_values_ = metadata != nullptr;
   const Dims3& g = grid.grid_dims();
   tree.nodes_.reserve(grid.block_count() * 2);
+  tree.leaf_blocks_.reserve(grid.block_count());
   tree.build_node(grid, metadata, var, 0, 0, 0, g.x, g.y, g.z, 1);
   return tree;
 }
@@ -32,19 +33,23 @@ i64 BlockOctree::build_node(const BlockGrid& grid,
   const i64 index = static_cast<i64>(nodes_.size());
   nodes_.emplace_back();
 
+  const usize leaf_begin = leaf_blocks_.size();
+  nodes_.back().leaf_begin = leaf_begin;
+
   if (x1 - x0 == 1 && y1 - y0 == 1 && z1 - z0 == 1) {
+    const BlockId block = grid.id_of({x0, y0, z0});
+    leaf_blocks_.push_back(block);
     Node& leaf = nodes_.back();
     leaf.leaf = true;
-    leaf.block = grid.id_of({x0, y0, z0});
-    leaf.bounds = grid.block_bounds(leaf.block);
+    leaf.leaf_end = leaf_blocks_.size();
+    leaf.bounds = grid.block_bounds(block);
     leaf.sphere_center = leaf.bounds.center();
     leaf.sphere_radius = leaf.bounds.diagonal() * 0.5;
     if (metadata) {
-      const auto& e = metadata->entry(leaf.block, var);
+      const auto& e = metadata->entry(block, var);
       leaf.min_value = e.min;
       leaf.max_value = e.max;
     }
-    ++leaves_;
     return index;
   }
 
@@ -85,6 +90,7 @@ i64 BlockOctree::build_node(const BlockGrid& grid,
   VIZ_CHECK(!first, "interior octree node without children");
 
   Node& node = nodes_[static_cast<usize>(index)];
+  node.leaf_end = leaf_blocks_.size();
   node.bounds = bounds;
   node.sphere_center = bounds.center();
   node.sphere_radius = bounds.diagonal() * 0.5;
@@ -93,77 +99,100 @@ i64 BlockOctree::build_node(const BlockGrid& grid,
   return index;
 }
 
-template <typename NodeFilter, typename LeafFilter>
-void BlockOctree::traverse(i64 node, const NodeFilter& node_ok,
-                           const LeafFilter& leaf_ok,
-                           std::vector<BlockId>& out, usize& visits) const {
+// `classify` gives a node's verdict; for a leaf it must be final (kInside
+// or kOutside). An interior kInside node emits its subtree's blocks without
+// visiting the subtree.
+template <typename Classify, typename Emit>
+void BlockOctree::traverse(i64 node, const Classify& classify,
+                           const Emit& emit, usize& visits) const {
   if (node < 0) return;
   ++visits;
   const Node& n = nodes_[static_cast<usize>(node)];
-  if (!node_ok(n)) return;
-  if (n.leaf) {
-    // analyze: allow(hot-path-alloc): the frustum collector grows once per
-    // visible leaf per frame (not per pixel); the caller owns sizing and
-    // amortization of the returned set.
-    if (leaf_ok(n)) out.push_back(n.block);
-    return;
+  switch (classify(n)) {
+    case ConeOverlap::kOutside:
+      return;
+    case ConeOverlap::kInside:
+      for (usize i = n.leaf_begin; i < n.leaf_end; ++i) emit(leaf_blocks_[i]);
+      return;
+    case ConeOverlap::kPartial:
+      break;
   }
-  for (i64 child : n.children) {
-    traverse(child, node_ok, leaf_ok, out, visits);
-  }
+  VIZ_CHECK(!n.leaf, "octree leaf classified as partial");
+  for (i64 child : n.children) traverse(child, classify, emit, visits);
 }
 
-std::vector<BlockId> BlockOctree::query_frustum(
-    const ConeFrustum& frustum) const {
+template <typename Classify>
+std::vector<BlockId> BlockOctree::collect(const Classify& classify,
+                                          usize* visits) const {
   std::vector<BlockId> out;
-  if (nodes_.empty()) return out;
-  auto node_ok = [&](const Node& n) {
-    // Conservative sphere cull for interior pruning.
-    return frustum.may_intersect_sphere(n.sphere_center, n.sphere_radius);
-  };
-  auto leaf_ok = [&](const Node& n) {
-    // Exact per-block test so results match the exhaustive scan.
-    return frustum.intersects_block(n.bounds);
-  };
-  usize visits = 0;
-  traverse(0, node_ok, leaf_ok, out, visits);
-  last_visits_.store(visits, std::memory_order_relaxed);
+  usize count = 0;
+  if (!nodes_.empty()) {
+    // analyze: allow(hot-path-alloc): the collector grows once per visible
+    // block per query (not per pixel); the caller owns sizing and
+    // amortization of the returned set.
+    traverse(0, classify, [&out](BlockId id) { out.push_back(id); }, count);
+  }
+  if (visits) *visits = count;
   std::sort(out.begin(), out.end());
   return out;
+}
+
+namespace {
+
+// The view verdict of a node; a partial leaf falls back to the exact
+// per-block test, so the query matches the exhaustive scan bit for bit.
+template <typename Node>
+ConeOverlap view_overlap(const ConeFrustum& frustum, const Node& n) {
+  const ConeOverlap c = frustum.classify_sphere(n.sphere_center, n.sphere_radius);
+  if (!n.leaf || c != ConeOverlap::kPartial) return c;
+  return frustum.intersects_block(n.bounds) ? ConeOverlap::kInside
+                                            : ConeOverlap::kOutside;
+}
+
+}  // namespace
+
+std::vector<BlockId> BlockOctree::query_frustum(const ConeFrustum& frustum,
+                                                usize* visits) const {
+  return collect([&](const Node& n) { return view_overlap(frustum, n); },
+                 visits);
+}
+
+void BlockOctree::mark_frustum(const ConeFrustum& frustum,
+                               std::span<u8> mask) const {
+  VIZ_REQUIRE(mask.size() == leaf_blocks_.size(), "mask size mismatch");
+  usize visits = 0;
+  if (!nodes_.empty()) {
+    traverse(0, [&](const Node& n) { return view_overlap(frustum, n); },
+             [mask](BlockId id) { mask[id] = 1; }, visits);
+  }
 }
 
 std::vector<BlockId> BlockOctree::query_frustum_range(
     const ConeFrustum& frustum, float lo, float hi) const {
   VIZ_REQUIRE(has_values_, "octree built without metadata");
   VIZ_REQUIRE(lo <= hi, "inverted value range");
-  std::vector<BlockId> out;
-  if (nodes_.empty()) return out;
-  auto node_ok = [&](const Node& n) {
-    if (n.min_value > hi || n.max_value < lo) return false;
-    return frustum.may_intersect_sphere(n.sphere_center, n.sphere_radius);
-  };
-  auto leaf_ok = [&](const Node& n) { return frustum.intersects_block(n.bounds); };
-  usize visits = 0;
-  traverse(0, node_ok, leaf_ok, out, visits);
-  last_visits_.store(visits, std::memory_order_relaxed);
-  std::sort(out.begin(), out.end());
-  return out;
+  return collect(
+      [&](const Node& n) {
+        if (n.min_value > hi || n.max_value < lo) return ConeOverlap::kOutside;
+        // A subtree inside the cone may still hold out-of-range blocks, so
+        // only leaves accept.
+        const ConeOverlap view = view_overlap(frustum, n);
+        return n.leaf || view == ConeOverlap::kOutside ? view
+                                                       : ConeOverlap::kPartial;
+      },
+      nullptr);
 }
 
-std::vector<BlockId> BlockOctree::query_range(float lo, float hi) const {
+std::vector<BlockId> BlockOctree::query_range(float lo, float hi,
+                                              usize* visits) const {
   VIZ_REQUIRE(has_values_, "octree built without metadata");
   VIZ_REQUIRE(lo <= hi, "inverted value range");
-  std::vector<BlockId> out;
-  if (nodes_.empty()) return out;
-  auto node_ok = [&](const Node& n) {
-    return n.min_value <= hi && n.max_value >= lo;
-  };
-  auto leaf_ok = [&](const Node&) { return true; };
-  usize visits = 0;
-  traverse(0, node_ok, leaf_ok, out, visits);
-  last_visits_.store(visits, std::memory_order_relaxed);
-  std::sort(out.begin(), out.end());
-  return out;
+  return collect(
+      [&](const Node& n) {
+        if (n.min_value > hi || n.max_value < lo) return ConeOverlap::kOutside;
+        return n.leaf ? ConeOverlap::kInside : ConeOverlap::kPartial;
+      },
+      visits);
 }
 
 }  // namespace vizcache

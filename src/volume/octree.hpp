@@ -1,6 +1,6 @@
 #pragma once
 
-#include <atomic>
+#include <span>
 #include <vector>
 
 #include "geom/frustum.hpp"
@@ -18,9 +18,7 @@ namespace vizcache {
 /// whole subtrees instead of scanning every block.
 ///
 /// Thread-safety: const-thread-safe. The tree is immutable after build(), so
-/// any number of threads may query concurrently; the only mutable member is
-/// the atomic last_visits_ diagnostics counter. Mutation (move-assign) needs
-/// external synchronization against concurrent queries.
+/// any number of threads may query concurrently.
 class BlockOctree {
  public:
   /// Build over `grid`; `metadata` (optional) supplies per-block min/max of
@@ -30,44 +28,32 @@ class BlockOctree {
                            const BlockMetadataTable* metadata = nullptr,
                            usize var = 0);
 
-  BlockOctree() = default;
-  // Moves must be spelled out because of the atomic diagnostics counter.
-  BlockOctree(BlockOctree&& o) noexcept
-      : nodes_(std::move(o.nodes_)),
-        has_values_(o.has_values_),
-        leaves_(o.leaves_),
-        height_(o.height_),
-        last_visits_(o.last_visits_.load()) {}
-  BlockOctree& operator=(BlockOctree&& o) noexcept {
-    nodes_ = std::move(o.nodes_);
-    has_values_ = o.has_values_;
-    leaves_ = o.leaves_;
-    height_ = o.height_;
-    last_visits_.store(o.last_visits_.load());
-    return *this;
-  }
-
   usize node_count() const { return nodes_.size(); }
-  usize leaf_count() const { return leaves_; }
+  usize leaf_count() const { return leaf_blocks_.size(); }
   usize height() const { return height_; }
 
   /// Blocks whose AABB intersects the view cone; identical result to the
-  /// exhaustive per-block scan (BlockBoundsIndex::visible_blocks), ids
-  /// ascending.
-  std::vector<BlockId> query_frustum(const ConeFrustum& frustum) const;
+  /// exhaustive per-block ConeFrustum::intersects_block scan, ids ascending.
+  /// Nodes whose bounding sphere lies inside the cone accept their whole
+  /// subtree; leaves run the exact test only when their sphere is partial.
+  /// `visits` (optional) receives the number of nodes visited (diagnostics:
+  /// the pruning factor vs a block_count scan).
+  std::vector<BlockId> query_frustum(const ConeFrustum& frustum,
+                                     usize* visits = nullptr) const;
+
+  /// Same set as query_frustum, written as mask[id] = 1 (mask sized to the
+  /// block count; other entries are left untouched).
+  void mark_frustum(const ConeFrustum& frustum, std::span<u8> mask) const;
 
   /// Blocks intersecting the cone whose value interval intersects
   /// [lo, hi]. Requires metadata at build time.
   std::vector<BlockId> query_frustum_range(const ConeFrustum& frustum,
                                            float lo, float hi) const;
 
-  /// Blocks whose value interval intersects [lo, hi] (no view test).
-  std::vector<BlockId> query_range(float lo, float hi) const;
-
-  /// Number of node visits of the last query (diagnostics: shows the
-  /// pruning factor vs block_count scans). Atomic so concurrent queries on
-  /// a shared tree stay race-free; concurrent callers see a mixed count.
-  usize last_visits() const { return last_visits_.load(std::memory_order_relaxed); }
+  /// Blocks whose value interval intersects [lo, hi] (no view test);
+  /// `visits` as in query_frustum.
+  std::vector<BlockId> query_range(float lo, float hi,
+                                   usize* visits = nullptr) const;
 
  private:
   struct Node {
@@ -77,7 +63,9 @@ class BlockOctree {
     float min_value = 0.0f;
     float max_value = 0.0f;
     i64 children[8] = {-1, -1, -1, -1, -1, -1, -1, -1};
-    BlockId block = kInvalidBlock;  ///< leaf payload
+    /// The subtree's blocks are leaf_blocks_[leaf_begin, leaf_end).
+    usize leaf_begin = 0;
+    usize leaf_end = 0;
     bool leaf = false;
   };
 
@@ -85,15 +73,17 @@ class BlockOctree {
                  usize var, usize x0, usize y0, usize z0, usize x1, usize y1,
                  usize z1, usize depth);
 
-  template <typename NodeFilter, typename LeafFilter>
-  void traverse(i64 node, const NodeFilter& node_ok, const LeafFilter& leaf_ok,
-                std::vector<BlockId>& out, usize& visits) const;
+  template <typename Classify, typename Emit>
+  void traverse(i64 node, const Classify& classify, const Emit& emit,
+                usize& visits) const;
+
+  template <typename Classify>
+  std::vector<BlockId> collect(const Classify& classify, usize* visits) const;
 
   std::vector<Node> nodes_;
+  std::vector<BlockId> leaf_blocks_;  ///< blocks in depth-first leaf order
   bool has_values_ = false;
-  usize leaves_ = 0;
   usize height_ = 0;
-  mutable std::atomic<usize> last_visits_{0};
 };
 
 }  // namespace vizcache

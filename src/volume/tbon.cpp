@@ -134,7 +134,8 @@ std::vector<BlockId> TemporalOctree::query_frustum_range(
   if (nodes_.empty()) return out;
   auto view_ok = [&](const Node& n) {
     if (n.leaf) return frustum.intersects_block(n.bounds);
-    return frustum.may_intersect_sphere(n.sphere_center, n.sphere_radius);
+    return frustum.classify_sphere(n.sphere_center, n.sphere_radius) !=
+           ConeOverlap::kOutside;
   };
   traverse(0, values_[timestep], lo, hi, view_ok, out);
   std::sort(out.begin(), out.end());

@@ -23,6 +23,26 @@ TEST(Importance, EveryBlockScored) {
   EXPECT_EQ(t.ranked().size(), store.grid().block_count());
 }
 
+TEST(Importance, MetadataRangeGivesTheSameTable) {
+  // Taking the global range from a metadata table (one read per block
+  // fewer) changes no entropy and no rank, pooled or not.
+  SyntheticBlockStore store = flame_store();
+  ImportanceTable plain = ImportanceTable::build(store, 64);
+  ThreadPool pool(4);
+  BlockMetadataTable metadata = BlockMetadataTable::build(store, 1, 0, &pool);
+  ImportanceTable from_metadata =
+      ImportanceTable::build(store, metadata, 64, 0, 0, &pool);
+  for (BlockId id = 0; id < plain.block_count(); ++id) {
+    EXPECT_EQ(from_metadata.entropy(id), plain.entropy(id)) << "block " << id;
+  }
+  EXPECT_EQ(from_metadata.ranked(), plain.ranked());
+  BlockMetadataTable other_grid =
+      BlockMetadataTable::build(SyntheticBlockStore(
+          make_flame_volume("f", {48, 48, 48}), {16, 16, 16}));
+  EXPECT_THROW(ImportanceTable::build(store, other_grid, 64), InvalidArgument);
+  EXPECT_THROW(ImportanceTable::build(store, metadata, 64, 1), InvalidArgument);
+}
+
 TEST(Importance, EntropiesNonNegativeAndBounded) {
   SyntheticBlockStore store = flame_store();
   ImportanceTable t = ImportanceTable::build(store, 64);

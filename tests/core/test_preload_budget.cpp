@@ -1,15 +1,17 @@
-// Preload-budget semantics shared by BOTH pipelines (Algorithm 1 line 7).
-// Regression: VizPipeline used to STOP preloading at the first
-// over-budget block (`break`) while ParallelPipeline SKIPPED it and kept
-// going (`continue`), so the two simulators preloaded different sets from
-// identical inputs. The unified semantics is skip-and-continue: a block too
-// large for the remaining fast-memory budget must not shadow a smaller,
-// less-important block that still fits.
+// Preload-budget semantics shared by every pipeline (Algorithm 1 line 7).
+// Regression: VizPipeline and later TemporalPipeline used to STOP
+// preloading at the first over-budget block (`break`) while
+// ParallelPipeline SKIPPED it and kept going (`continue`), so the
+// simulators preloaded different sets from identical inputs. The unified
+// semantics is skip-and-continue: a block too large for the remaining
+// fast-memory budget must not shadow a smaller, less-important block that
+// still fits.
 
 #include <gtest/gtest.h>
 
 #include "core/parallel_pipeline.hpp"
 #include "core/pipeline.hpp"
+#include "core/temporal.hpp"
 
 namespace vizcache {
 namespace {
@@ -86,6 +88,28 @@ TEST(PreloadBudget, ParallelAgreesWithSequential) {
   ASSERT_EQ(pr.steps[0].visible_blocks, sr.steps[0].visible_blocks);
   EXPECT_EQ(pr.steps[0].fast_misses, sr.steps[0].fast_misses);
   EXPECT_EQ(pr.steps[0].fast_misses, 3u);
+}
+
+TEST(PreloadBudget, TemporalSkipsOversizeBlockAndKeepsFilling) {
+  BlockGrid grid = make_grid();
+  std::vector<ImportanceTable> importance{make_importance()};
+  VisibilityTable table = make_table(grid);
+  // One timestep: the temporal key space is the spatial one, so the fast
+  // level holds the same 320 bytes as the sequential pipeline's.
+  MemoryHierarchy h = make_temporal_hierarchy(grid, 1, 0.5, PolicyKind::kLru);
+  ASSERT_EQ(h.cache(0).capacity_bytes(), 320u);
+
+  TemporalConfig cfg;
+  cfg.app_aware = true;
+  cfg.sigma_bits = kSigma;
+  PlaybackSpec playback;
+  playback.timesteps = 1;
+  TemporalPipeline pipe(grid, std::move(h), cfg, playback, &table,
+                        &importance);
+  RunResult r = pipe.run(make_path());
+  ASSERT_EQ(r.steps[0].visible_blocks, 4u);
+  // Under the old `break` block 0 ended the preload and all four missed.
+  EXPECT_EQ(r.steps[0].fast_misses, 3u);
 }
 
 }  // namespace

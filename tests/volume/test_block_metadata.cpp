@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
 
 #include "util/error.hpp"
 
@@ -32,6 +33,53 @@ TEST(BlockMetadata, MinMaxMeanCorrect) {
     EXPECT_FLOAT_EQ(e.max, mx);
     EXPECT_NEAR(e.mean, sum / static_cast<double>(payload.size()), 1e-5);
   }
+}
+
+TEST(BlockMetadata, PooledBuildIsIdenticalToSerial) {
+  SyntheticBlockStore store = flame_store();
+  BlockMetadataTable serial = BlockMetadataTable::build(store);
+  ThreadPool pool(4);
+  BlockMetadataTable pooled = BlockMetadataTable::build(store, 0, 0, &pool);
+  for (BlockId id = 0; id < store.grid().block_count(); ++id) {
+    EXPECT_EQ(pooled.entry(id).min, serial.entry(id).min);
+    EXPECT_EQ(pooled.entry(id).max, serial.entry(id).max);
+    EXPECT_EQ(pooled.entry(id).mean, serial.entry(id).mean);
+  }
+}
+
+// Serves the flame store but returns no values for block 0.
+class HollowStore final : public BlockStore {
+ public:
+  const BlockGrid& grid() const override { return inner_.grid(); }
+  const VolumeDesc& desc() const override { return inner_.desc(); }
+  std::vector<float> read_block(BlockId id, usize var,
+                                usize timestep) const override {
+    if (id == 0) return {};
+    return inner_.read_block(id, var, timestep);
+  }
+
+ private:
+  SyntheticBlockStore inner_ = flame_store();
+};
+
+TEST(BlockMetadata, EmptyPayloadHasEmptyInterval) {
+  // An empty block holds no value: it must match no range and must not
+  // drag the global range toward 0 (T_important's entropy bins come from
+  // variable_range).
+  HollowStore store;
+  BlockMetadataTable t = BlockMetadataTable::build(store);
+  EXPECT_EQ(t.entry(0).min, std::numeric_limits<float>::infinity());
+  EXPECT_EQ(t.entry(0).max, -std::numeric_limits<float>::infinity());
+  EXPECT_EQ(t.entry(0).mean, 0.0f);
+  EXPECT_FALSE(t.intersects_range(0, 0, -1e30f, 1e30f));
+
+  float lo = std::numeric_limits<float>::infinity();
+  float hi = -std::numeric_limits<float>::infinity();
+  for (BlockId id = 1; id < t.block_count(); ++id) {
+    lo = std::min(lo, t.entry(id).min);
+    hi = std::max(hi, t.entry(id).max);
+  }
+  EXPECT_EQ(t.variable_range(0), std::make_pair(lo, hi));
 }
 
 TEST(BlockMetadata, RangeTestSoundness) {

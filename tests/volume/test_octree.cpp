@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
-#include "core/visibility.hpp"
+#include "geom/radius_model.hpp"
+#include "geom/sampling.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
+#include "volume/datasets.hpp"
 #include "volume/generators.hpp"
 
 namespace vizcache {
@@ -20,6 +24,136 @@ struct OctreeWorld {
   BlockOctree tree = BlockOctree::build(grid, &metadata);
 };
 
+// The exhaustive per-block scan every octree frustum query must reproduce.
+std::vector<BlockId> scan_visible(const std::vector<AABB>& bounds,
+                                  const Camera& cam) {
+  const ConeFrustum f(cam);
+  std::vector<BlockId> out;
+  for (BlockId id = 0; id < bounds.size(); ++id) {
+    if (f.intersects_block(bounds[id])) out.push_back(id);
+  }
+  return out;
+}
+
+std::vector<AABB> all_bounds(const BlockGrid& grid) {
+  std::vector<AABB> out;
+  for (BlockId id = 0; id < grid.block_count(); ++id) {
+    out.push_back(grid.block_bounds(id));
+  }
+  return out;
+}
+
+// Both octree entry points' results for one camera, as ascending ids.
+std::pair<std::vector<BlockId>, std::vector<BlockId>> octree_visible(
+    const BlockOctree& tree, usize blocks, const Camera& cam) {
+  const ConeFrustum f(cam);
+  std::vector<u8> mask(blocks, 0);
+  tree.mark_frustum(f, mask);
+  std::vector<BlockId> marked;
+  for (BlockId id = 0; id < mask.size(); ++id) {
+    if (mask[id]) marked.push_back(id);
+  }
+  return {tree.query_frustum(f), marked};
+}
+
+// Checks every camera against the scan (chunked over a small pool, the
+// scan being the slow part) and reports the first mismatch in full.
+void expect_exact(const BlockOctree& tree, const BlockGrid& grid,
+                  const std::vector<Camera>& cameras) {
+  const std::vector<AABB> bounds = all_bounds(grid);
+  std::vector<u8> ok(cameras.size(), 0);
+  ThreadPool pool(4);
+  parallel_for(&pool, 0, cameras.size(), 16, [&](usize lo, usize hi) {
+    for (usize i = lo; i < hi; ++i) {
+      const auto [queried, marked] =
+          octree_visible(tree, bounds.size(), cameras[i]);
+      const std::vector<BlockId> expected = scan_visible(bounds, cameras[i]);
+      ok[i] = queried == expected && marked == expected;
+    }
+  });
+  const auto bad = std::find(ok.begin(), ok.end(), u8{0});
+  if (bad == ok.end()) return;
+  const Camera& cam = cameras[static_cast<usize>(bad - ok.begin())];
+  const auto [queried, marked] = octree_visible(tree, bounds.size(), cam);
+  const std::vector<BlockId> expected = scan_visible(bounds, cam);
+  ADD_FAILURE() << std::count(ok.begin(), ok.end(), u8{0}) << " of "
+                << cameras.size() << " cameras differ; first: ("
+                << cam.position().x << ", " << cam.position().y << ", "
+                << cam.position().z << ") angle " << cam.view_angle_deg();
+  EXPECT_EQ(queried, expected);
+  EXPECT_EQ(marked, expected);
+}
+
+// The benchmark's world: 3d_ball at scale 0.2 cut into 13^3 blocks.
+BlockGrid bench_grid() {
+  BlockGrid grid = BlockGrid::with_target_block_count(
+      make_dataset(DatasetId::kBall3d, 0.2).desc.dims, 2200);
+  EXPECT_EQ(grid.block_count(), 13u * 13 * 13);
+  return grid;
+}
+
+const OmegaSamplingSpec kBenchOmega{18, 36, 5, 2.5, 3.5};
+
+TEST(BlockOctreeExact, LatticeAndVicinalCamerasAtTenDegrees) {
+  // Every camera T_visible construction uses on the benchmark's world: the
+  // default 3,240-position lattice, 8 vicinal points each, with the vicinal
+  // radius of a 7.5-degree path step (the benchmark's tours).
+  const BlockGrid grid = bench_grid();
+  const RadiusModel radius{10.0, 0.25, 1e-3};
+  const std::vector<Vec3> positions = sample_omega_positions(kBenchOmega);
+  ASSERT_EQ(positions.size(), 3240u);
+  std::vector<Camera> cameras;
+  for (usize i = 0; i < positions.size(); ++i) {
+    const double d = positions[i].norm();
+    const double r =
+        radius.radius_with_step_floor(d, 2.0 * d * std::sin(deg_to_rad(3.75)));
+    Rng rng(99 ^ (0x9e3779b97f4a7c15ULL * (i + 1)));
+    for (const Vec3& p : sample_vicinal_ball(positions[i], r, 8, rng)) {
+      cameras.emplace_back(p, 10.0);
+    }
+  }
+  expect_exact(BlockOctree::build(grid), grid, cameras);
+}
+
+TEST(BlockOctreeExact, LatticeCamerasAtWideAngles) {
+  const BlockGrid grid = bench_grid();
+  std::vector<Camera> cameras;
+  for (const Vec3& p : sample_omega_positions(kBenchOmega)) {
+    cameras.emplace_back(p, 30.0);
+    cameras.emplace_back(p, 60.0);
+  }
+  expect_exact(BlockOctree::build(grid), grid, cameras);
+}
+
+TEST(BlockOctreeExact, CamerasInsideVolumeAndOnBlockFaces) {
+  const BlockGrid grid = bench_grid();
+  Rng rng(21);
+  std::vector<Vec3> positions;
+  // Random interior cameras (looking at the center from inside).
+  for (int i = 0; i < 300; ++i) {
+    positions.push_back({rng.uniform(-0.95, 0.95), rng.uniform(-0.95, 0.95),
+                         rng.uniform(-0.95, 0.95)});
+  }
+  // Cameras exactly on block faces, edges and corners: snap coordinates to
+  // the face planes of real blocks, inside the volume and on its hull.
+  for (int i = 0; i < 300; ++i) {
+    const AABB b = grid.block_bounds(
+        static_cast<BlockId>(rng.next_below(grid.block_count())));
+    Vec3 p{rng.uniform(b.lo.x, b.hi.x), rng.uniform(b.lo.y, b.hi.y),
+           rng.uniform(b.lo.z, b.hi.z)};
+    const int snapped = i % 3;  // face, edge or corner
+    p.x = rng.next_double() < 0.5 ? b.lo.x : b.hi.x;
+    if (snapped >= 1) p.y = rng.next_double() < 0.5 ? b.lo.y : b.hi.y;
+    if (snapped >= 2) p.z = rng.next_double() < 0.5 ? b.lo.z : b.hi.z;
+    positions.push_back(p);
+  }
+  std::vector<Camera> cameras;
+  for (const Vec3& p : positions) {
+    for (double angle : {10.0, 30.0, 60.0}) cameras.emplace_back(p, angle);
+  }
+  expect_exact(BlockOctree::build(grid), grid, cameras);
+}
+
 TEST(BlockOctree, LeafPerBlock) {
   OctreeWorld w;
   EXPECT_EQ(w.tree.leaf_count(), w.grid.block_count());
@@ -30,32 +164,31 @@ TEST(BlockOctree, LeafPerBlock) {
 TEST(BlockOctree, FrustumQueryMatchesBruteForceExactly) {
   // The headline property: hierarchical culling never changes the result.
   OctreeWorld w;
-  BlockBoundsIndex brute(w.grid);
   Rng rng(7);
+  std::vector<Camera> cameras;
   for (int i = 0; i < 150; ++i) {
     Vec3 pos = direction_from_angles(rng.uniform(0.05, 3.09),
                                      rng.uniform(0.0, 6.28)) *
                rng.uniform(2.0, 4.0);
-    double angle = rng.uniform(5.0, 60.0);
-    Camera cam(pos, angle);
-    auto expected = brute.visible_blocks(cam);
-    auto got = w.tree.query_frustum(ConeFrustum(cam));
-    ASSERT_EQ(got, expected) << "camera " << i << " angle " << angle;
+    cameras.emplace_back(pos, rng.uniform(5.0, 60.0));
   }
+  expect_exact(w.tree, w.grid, cameras);
 }
 
 TEST(BlockOctree, FrustumQueryPrunes) {
   OctreeWorld w;
   Camera narrow({3, 0, 0}, 8.0);
-  w.tree.query_frustum(ConeFrustum(narrow));
-  usize narrow_visits = w.tree.last_visits();
+  usize narrow_visits = 0;
+  w.tree.query_frustum(ConeFrustum(narrow), &narrow_visits);
   Camera wide({3, 0, 0}, 90.0);
-  w.tree.query_frustum(ConeFrustum(wide));
-  usize wide_visits = w.tree.last_visits();
-  // The conservative sphere cull cannot reject the big near-root nodes, but
-  // a narrow cone must still prune subtrees a wide cone visits.
-  EXPECT_LT(narrow_visits, wide_visits);
+  usize wide_visits = 0;
+  w.tree.query_frustum(ConeFrustum(wide), &wide_visits);
+  // A narrow cone prunes the subtrees outside it; a wide cone that holds
+  // the whole volume accepts the root without descending at all.
   EXPECT_LT(narrow_visits, w.tree.node_count());
+  EXPECT_EQ(wide_visits, 1u);
+  EXPECT_EQ(w.tree.query_frustum(ConeFrustum(wide)).size(),
+            w.grid.block_count());
 }
 
 TEST(BlockOctree, RangeQueryMatchesMetadataScan) {
@@ -83,10 +216,11 @@ TEST(BlockOctree, FrustumRangeIsIntersection) {
 
 TEST(BlockOctree, RangePruningVisitsFewerNodes) {
   OctreeWorld w;
-  w.tree.query_range(-100.0f, 100.0f);
-  usize all_visits = w.tree.last_visits();
-  w.tree.query_range(0.999f, 1.0f);  // only flame-core blocks
-  EXPECT_LT(w.tree.last_visits(), all_visits);
+  usize all_visits = 0;
+  w.tree.query_range(-100.0f, 100.0f, &all_visits);
+  usize core_visits = 0;
+  w.tree.query_range(0.999f, 1.0f, &core_visits);  // only flame-core blocks
+  EXPECT_LT(core_visits, all_visits);
 }
 
 TEST(BlockOctree, WithoutMetadataRangeThrows) {
@@ -103,10 +237,7 @@ TEST(BlockOctree, NonPowerOfTwoGrids) {
   BlockGrid grid({25, 15, 10}, {5, 5, 5});
   BlockOctree tree = BlockOctree::build(grid);
   EXPECT_EQ(tree.leaf_count(), grid.block_count());
-  BlockBoundsIndex brute(grid);
-  Camera cam({2.5, 1.0, -0.5}, 40.0);
-  EXPECT_EQ(tree.query_frustum(ConeFrustum(cam)),
-            brute.visible_blocks(cam));
+  expect_exact(tree, grid, {Camera({2.5, 1.0, -0.5}, 40.0)});
 }
 
 TEST(BlockOctree, SingleBlockGrid) {
@@ -129,8 +260,8 @@ TEST(BlockOctree, InvalidRangeThrows) {
 }
 
 TEST(ConeFrustumSphere, ConservativeNoFalseNegatives) {
-  // Property: whenever a block intersects the cone, its bounding sphere
-  // must pass the may_intersect test.
+  // Property: a block that intersects the cone never has its bounding
+  // sphere classified outside, and one that does not never inside.
   Rng rng(13);
   for (int i = 0; i < 400; ++i) {
     Vec3 pos = direction_from_angles(rng.uniform(0.05, 3.09),
@@ -142,9 +273,11 @@ TEST(ConeFrustumSphere, ConservativeNoFalseNegatives) {
             rng.uniform(-1.0, 0.6)};
     AABB box(lo, lo + Vec3{rng.uniform(0.05, 0.4), rng.uniform(0.05, 0.4),
                            rng.uniform(0.05, 0.4)});
+    const ConeOverlap c = f.classify_sphere(box.center(), box.diagonal() * 0.5);
     if (f.intersects_block(box)) {
-      EXPECT_TRUE(
-          f.may_intersect_sphere(box.center(), box.diagonal() * 0.5));
+      EXPECT_NE(c, ConeOverlap::kOutside);
+    } else {
+      EXPECT_NE(c, ConeOverlap::kInside);
     }
   }
 }
