@@ -14,6 +14,14 @@
 // reporting the extra ns/sample reduction and the image deviation each
 // combination buys.
 //
+// A second scene reproduces the frame of the perfbench explore workload:
+// 3d_ball at scale 0.2 in ~2,200 bricks of 16^3, a 10-degree view from
+// distance 3, step 0.01, 128^2, every other brick evicted. Its rays cross
+// many short segments and neighbouring lanes often sit in different
+// bricks, so it exposes the segment walk that the fully resident 512-brick
+// scene hides. It times the packet path (pooled and serial) and the
+// dda+lut path.
+//
 // Writes BENCH_render.json (override with json=path) with ns/sample and
 // frames/s for every path plus the speedups, so the render perf trajectory
 // is machine-readable from this PR onward.
@@ -65,6 +73,12 @@ PathTiming time_path(usize frames, const std::function<Image(RaycastStats&)>& fr
                         ? t.frame_ms * 1e6 / static_cast<double>(t.stats.samples)
                         : 0.0;
   return t;
+}
+
+double samples_per_segment(const RaycastStats& s) {
+  return s.segments > 0 ? static_cast<double>(s.samples) /
+                              static_cast<double>(s.segments)
+                        : 0.0;
 }
 
 double max_channel_diff(const Image& a, const Image& b) {
@@ -181,19 +195,26 @@ int main(int argc, char** argv) {
   const double diff = max_channel_diff(fast_image, ref_image);
   const double packet_diff = max_channel_diff(packet_image, ref_image);
 
-  TablePrinter table({"path", "frame(ms)", "frames/s", "ns/sample", "samples",
-                      "rays", "composited"});
-  auto row = [&](const std::string& name, const PathTiming& t) {
-    table.row({name, TablePrinter::fmt(t.frame_ms, 2),
-               TablePrinter::fmt(t.fps, 2), TablePrinter::fmt(t.ns_per_sample, 2),
-               std::to_string(t.stats.samples), std::to_string(t.stats.rays),
-               std::to_string(t.stats.composited)});
+  const std::vector<std::string> columns = {
+      "path",    "frame(ms)",       "frames/s", "ns/sample",
+      "samples", "samples/segment", "rays",     "composited"};
+  TablePrinter table(columns);
+  auto row = [](TablePrinter& out, const std::string& name,
+                const PathTiming& t) {
+    out.row({name, TablePrinter::fmt(t.frame_ms, 2),
+             TablePrinter::fmt(t.fps, 2), TablePrinter::fmt(t.ns_per_sample, 2),
+             std::to_string(t.stats.samples),
+             t.stats.segments > 0
+                 ? TablePrinter::fmt(samples_per_segment(t.stats), 2)
+                 : std::string("-"),
+             std::to_string(t.stats.rays),
+             std::to_string(t.stats.composited)});
   };
-  row("reference", ref);
-  row("dda+lut", fast);
-  row("packet", packet);
+  row(table, "reference", ref);
+  row(table, "dda+lut", fast);
+  row(table, "packet", packet);
   for (const AdaptiveRun& run : adaptive) {
-    row("packet+" + run.key, run.timing);
+    row(table, "packet+" + run.key, run.timing);
   }
   table.print("render hot path — " + std::to_string(width) + "x" +
               std::to_string(height) + ", " +
@@ -228,6 +249,65 @@ int main(int argc, char** argv) {
             << ": packet path is " << TablePrinter::fmt(packet_speedup, 2)
             << "x the dda+lut path (target >= 2x)\n";
 
+  // Explore-frame scene: the benchmark's world and frame (see the header
+  // comment), with every other brick resident.
+  const double frame_scale = 0.2;
+  SyntheticVolume frame_volume = make_dataset(DatasetId::kBall3d, frame_scale);
+  const BlockGrid frame_grid =
+      BlockGrid::with_target_block_count(frame_volume.desc.dims, 2200);
+  const SyntheticBlockStore frame_store(std::move(frame_volume),
+                                        frame_grid.block_dims());
+  ResidentBrickSet frame_bricks(frame_store.grid());
+  for (BlockId id = 1; id < frame_grid.block_count(); id += 2) {
+    frame_bricks.load(frame_store, id);
+  }
+  RaycastParams frame_params;
+  frame_params.image_width = 128;
+  frame_params.image_height = 128;
+  frame_params.step_size = 0.01;
+  const double frame_angle = 10.0;
+  const double frame_distance = 3.0;
+  const Camera frame_camera(Vec3{2.2, 1.1, 0.8}.normalized() * frame_distance,
+                            frame_angle);
+  const TransferFunctionLUT frame_lut(tf, frame_params.step_size);
+  const usize frame_frames = env.quick ? 5 : 30;
+  Image frame_dda_image(1, 1);
+  const PathTiming frame_dda = time_path(frame_frames, [&](RaycastStats& rs) {
+    Image img = raycast(frame_camera, frame_bricks, frame_lut, frame_params,
+                        &pool, &rs);
+    frame_dda_image = img;
+    return img;
+  });
+  Image frame_packet_image(1, 1);
+  const PathTiming frame_packet =
+      time_path(frame_frames, [&](RaycastStats& rs) {
+        Image img = raycast_packet(frame_camera, frame_bricks, frame_lut,
+                                   frame_params, &pool, &rs);
+        frame_packet_image = img;
+        return img;
+      });
+  const PathTiming frame_serial =
+      time_path(frame_frames, [&](RaycastStats& rs) {
+        return raycast_packet(frame_camera, frame_bricks, frame_lut,
+                              frame_params, nullptr, &rs);
+      });
+  const double frame_diff = max_channel_diff(frame_packet_image,
+                                             frame_dda_image);
+  TablePrinter frame_table(columns);
+  row(frame_table, "dda+lut", frame_dda);
+  row(frame_table, "packet", frame_packet);
+  row(frame_table, "packet(serial)", frame_serial);
+  frame_table.print(
+      "explore frame — 128x128, " + std::to_string(frame_grid.block_count()) +
+      " blocks of " + std::to_string(frame_grid.block_dims().x) + "^3, " +
+      std::to_string(frame_bricks.resident_count()) +
+      " resident, 10-degree view from distance 3, step 0.01");
+  std::cout << "explore frame: packet vs dda+lut (ns/sample) "
+            << TablePrinter::fmt(frame_dda.ns_per_sample /
+                                     std::max(frame_packet.ns_per_sample, 1e-9),
+                                 2)
+            << "x, max channel diff " << frame_diff << "\n";
+
   JsonObject config;
   config.string("dataset", "3d_ball")
       .number("scale", env.scale)
@@ -246,7 +326,9 @@ int main(int argc, char** argv) {
         .number("ns_per_sample", t.ns_per_sample)
         .integer("rays", static_cast<i64>(t.stats.rays))
         .integer("samples", static_cast<i64>(t.stats.samples))
-        .integer("composited", static_cast<i64>(t.stats.composited));
+        .integer("composited", static_cast<i64>(t.stats.composited))
+        .integer("segments", static_cast<i64>(t.stats.segments))
+        .number("samples_per_segment", samples_per_segment(t.stats));
     return o;
   };
   // Adaptive runs nest as one keyed object per fraction x stride combo
@@ -262,6 +344,24 @@ int main(int argc, char** argv) {
         .number("max_channel_diff_vs_packet", run.diff_vs_full);
     adaptive_json.object(run.key, std::move(o));
   }
+  JsonObject frame_config;
+  frame_config.string("dataset", "3d_ball")
+      .number("scale", frame_scale)
+      .integer("width", static_cast<i64>(frame_params.image_width))
+      .integer("height", static_cast<i64>(frame_params.image_height))
+      .integer("blocks", static_cast<i64>(frame_grid.block_count()))
+      .integer("block_dim", static_cast<i64>(frame_grid.block_dims().x))
+      .integer("resident_blocks",
+               static_cast<i64>(frame_bricks.resident_count()))
+      .number("step_size", frame_params.step_size)
+      .number("view_angle_deg", frame_angle)
+      .number("distance", frame_distance);
+  JsonObject frame_json;
+  frame_json.object("config", std::move(frame_config))
+      .object("dda_lut", path_json(frame_dda))
+      .object("packet", path_json(frame_packet))
+      .object("packet_serial", path_json(frame_serial))
+      .number("packet_max_channel_diff_vs_dda", frame_diff);
   JsonObject root;
   root.string("bench", "render")
       .object("config", std::move(config))
@@ -269,6 +369,7 @@ int main(int argc, char** argv) {
       .object("dda_lut", path_json(fast))
       .object("packet", path_json(packet))
       .object("adaptive", std::move(adaptive_json))
+      .object("frame", std::move(frame_json))
       .number("speedup_frame_time", speedup)
       .number("speedup_ns_per_sample", sample_speedup)
       .number("packet_speedup_frame_time", packet_speedup)

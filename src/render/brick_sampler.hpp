@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "geom/vec3.hpp"
+#include "util/error.hpp"
 #include "volume/block_store.hpp"
 
 namespace vizcache {
@@ -89,31 +90,64 @@ class BrickSampler {
 
 /// BrickSampler over an explicit set of loaded bricks — the render-side
 /// mirror of the paper's "composite only the blocks resident in fast
-/// memory". Payloads are owned here; views are precomputed per block so
-/// brick() is an O(1) vector read with no hashing and no locks.
+/// memory". Every resident payload lives in one contiguous float arena of
+/// fixed-size slots (one nominal brick each), so the packet raycaster can
+/// address any resident voxel as an int32 offset from one base pointer.
+/// Views are precomputed per block, so brick() is an O(1) vector read with
+/// no hashing and no locks.
+///
+/// Slots come from a free list: eviction returns a slot and frees nothing,
+/// and a later load reuses it. The arena grows on demand (doubling, capped
+/// at one slot per block); growth moves the payloads and re-bases every
+/// view, so views are invalidated by load() like iterators. The arena's
+/// size must stay within the int32 index range, which load() checks.
 class ResidentBrickSet final : public BrickSampler {
  public:
   explicit ResidentBrickSet(const BlockGrid& grid);
 
   const BlockGrid& grid() const override { return grid_; }
-  BrickView brick(BlockId id) const override;
+  BrickView brick(BlockId id) const override {
+    VIZ_REQUIRE(id < views_.size(), "block id out of range");
+    return views_[id];
+  }
 
   /// Fetch one block from `store` and make it resident (replaces any
-  /// previous payload for the same id).
+  /// previous payload for the same id, in the same slot).
   void load(const BlockStore& store, BlockId id, usize var = 0,
             usize timestep = 0);
   /// Make every block of the volume resident.
   void load_all(const BlockStore& store, usize var = 0, usize timestep = 0);
-  /// Drop a block's payload (no-op when not resident).
+  /// Drop a block's payload (no-op when not resident). Its slot goes back
+  /// to the free list.
   void evict(BlockId id);
 
   bool resident(BlockId id) const;
   usize resident_count() const { return resident_count_; }
 
+  /// Base of the payload arena: every resident view's `data` points into
+  /// [arena(), arena() + arena_floats()). Null until the first load.
+  const float* arena() const { return arena_.data(); }
+  usize arena_floats() const { return arena_.size(); }
+  /// Slots the arena holds today (resident or free).
+  usize slot_capacity() const {
+    return arena_.empty() ? 0 : (arena_.size() - 1) / slot_floats_;
+  }
+
  private:
+  static constexpr u32 kNoSlot = static_cast<u32>(-1);
+
+  /// A slot for `id`: its current one, a freed one, or a fresh one (growing
+  /// the arena when every slot is taken).
+  u32 acquire_slot(BlockId id);
+  void grow_to(usize slots);
+
   BlockGrid grid_;
-  std::vector<std::vector<float>> payloads_;  ///< indexed by BlockId
-  std::vector<BrickView> views_;              ///< indexed by BlockId
+  usize slot_floats_ = 0;          ///< floats per slot (nominal brick)
+  u32 slots_used_ = 0;             ///< slots ever handed out
+  std::vector<float> arena_;       ///< slot_capacity() slots + 1 pad float
+  std::vector<u32> slot_of_;       ///< indexed by BlockId, kNoSlot if none
+  std::vector<u32> free_slots_;
+  std::vector<BrickView> views_;   ///< indexed by BlockId
   usize resident_count_ = 0;
 };
 

@@ -192,6 +192,7 @@ Image raycast(const Camera& camera, const BrickSampler& bricks,
           float sx = static_cast<float>(va[0] + t0 * vb[0]);
           float sy = static_cast<float>(va[1] + t0 * vb[1]);
           float sz = static_cast<float>(va[2] + t0 * vb[2]);
+          if (k < k_end) ++rs.segments;
           const usize samples_before = rs.samples;
           usize k_local = k;
           for (; k_local < k_end;

@@ -34,13 +34,18 @@ struct RaycastParams {
 /// `skipped` counts sample positions the block-coherent paths jumped over
 /// in O(1) because the containing brick was not resident (the reference
 /// path evaluates those positions instead, so its `samples` includes
-/// them). At full residency, `samples`, `skipped`, and `rays` of the
-/// DDA and packet paths agree exactly — a regression test pins this.
+/// them). `segments` counts the resident ray/brick segments the
+/// block-coherent paths sampled (at least one sample each), so
+/// samples/segment is the length of the inner loop the segment walk
+/// amortizes over; the reference path has no segments. With early
+/// termination off, `samples`, `skipped`, `segments` and `rays` of the DDA
+/// and packet paths agree exactly — regression tests pin this.
 struct RaycastStats {
   u64 rays = 0;        ///< rays that intersected the volume
   u64 samples = 0;     ///< scalar data evaluations along those rays
   u64 composited = 0;  ///< samples that contributed color (alpha > 0)
   u64 skipped = 0;     ///< sample positions skipped over non-resident bricks
+  u64 segments = 0;    ///< resident ray/brick segments sampled
 };
 
 /// Front-to-back compositing volume ray-caster. Perspective camera looking
@@ -84,9 +89,9 @@ Image raycast(const Camera& camera, const BrickSampler& bricks,
 /// lanes at once through util/simd.hpp (AVX2, or the identical-width
 /// portable fallback). Lanes retire independently under a mask: early-out
 /// opacity termination and ray exit drop a lane without disturbing the
-/// others, non-resident segments are skipped per lane in O(1), and when
-/// packet coherence breaks at brick boundaries the corner fetches fall
-/// back from one shared gather base to per-lane loads.
+/// others, and non-resident segments are skipped per lane in O(1). The
+/// corner fetches of every lane, whichever brick it is in, address the
+/// set's one payload arena (ResidentBrickSet::arena) from one base.
 ///
 /// `mask` (optional) enables importance-masked adaptive sampling: blocks
 /// with stride s > 1 are sampled at every s-th position of the global
@@ -98,8 +103,9 @@ Image raycast(const Camera& camera, const BrickSampler& bricks,
 /// it against the scalar oracle at the usual 1e-3/channel; under adaptive
 /// sampling the documented looser bound applies (see DESIGN.md).
 ///
-/// Thread-safety: same contract as the other overloads.
-Image raycast_packet(const Camera& camera, const BrickSampler& bricks,
+/// Thread-safety: same contract as the other overloads; `bricks` must not
+/// be loaded or evicted while a render is in flight.
+Image raycast_packet(const Camera& camera, const ResidentBrickSet& bricks,
                      const TransferFunctionLUT& lut,
                      const RaycastParams& params, ThreadPool* pool = nullptr,
                      RaycastStats* stats = nullptr,

@@ -81,7 +81,8 @@ inline Vec3 pixel_ray_dir(const RayFrame& f, const RaycastParams& params,
 template <typename RowFn>
 void for_each_row(const RaycastParams& params, ThreadPool* pool,
                   RaycastStats* stats, const RowFn& render_row) {
-  std::atomic<u64> rays{0}, samples{0}, composited{0}, skipped{0};
+  std::atomic<u64> rays{0}, samples{0}, composited{0}, skipped{0},
+      segments{0};
   parallel_for(pool, 0, params.image_height, 1, [&](usize lo, usize hi) {
     RaycastStats rs;
     for (usize y = lo; y < hi; ++y) render_row(y, rs);
@@ -90,6 +91,7 @@ void for_each_row(const RaycastParams& params, ThreadPool* pool,
       samples.fetch_add(rs.samples, std::memory_order_relaxed);
       composited.fetch_add(rs.composited, std::memory_order_relaxed);
       skipped.fetch_add(rs.skipped, std::memory_order_relaxed);
+      segments.fetch_add(rs.segments, std::memory_order_relaxed);
     }
   });
   if (stats != nullptr) {
@@ -97,6 +99,7 @@ void for_each_row(const RaycastParams& params, ThreadPool* pool,
     stats->samples = samples.load();
     stats->composited = composited.load();
     stats->skipped = skipped.load();
+    stats->segments = segments.load();
   }
 }
 

@@ -3,23 +3,30 @@
 //
 // Division of labor:
 //  - per-lane SEGMENT bookkeeping (DDA stepping, residency, segment sample
-//    bounds) is scalar double-precision code mirroring the block-coherent
-//    path expression-for-expression, so segment boundaries, sample counts,
-//    and non-resident skip counts are bit-identical to it;
+//    bounds) is scalar double-precision code that computes the block-
+//    coherent path's segment bounds from the same operands with the same
+//    operations, so segment boundaries, sample counts, and non-resident skip
+//    counts are bit-identical to it. Each lane caches its three exit-face
+//    distances and recomputes only the axis it stepped through;
 //  - the per-SAMPLE inner loop (trilinear fetch, transfer-function LUT
 //    lookup, front-to-back compositing) runs across all lanes at once
 //    through util/simd.hpp, with per-lane masks retiring lanes on early-out
 //    opacity termination and ray exit without disturbing their neighbors.
 //
-// A packet's lanes usually share one brick (adjacent pixels, coherent
-// rays); the corner fetches then use a single gather base. When coherence
-// breaks at a brick boundary the fetches fall back to per-lane loads
-// (simd::gather_lanes) while every other vector op stays packed.
+// Every resident brick lives in the ResidentBrickSet's one payload arena,
+// so there is one gather base for the whole frame: lanes in different
+// bricks differ only in their per-lane window, stride and bias vectors
+// (the bias folds the brick's arena offset into the index). Packets whose
+// lanes straddle a brick boundary therefore take the same paired-fetch
+// loop as coherent ones. The fetches are unmasked, so every lane — tail,
+// never-hit and retired ones included — always holds a window inside the
+// arena: zeros (arena[0..1]) until its first segment, its last resident
+// brick after that.
 //
 // The vector loop runs in "runs" bounded by the earliest lane segment
 // boundary (n_run = min over lanes), so with 8 staggered rays a run is
 // roughly segment_length/8 iterations. All per-lane state (positions,
-// window clamps, gather bases, accumulators) therefore lives in packet-
+// window clamps, index bias, accumulators) therefore lives in packet-
 // scope arrays that persist across runs: a segment refill touches only the
 // lane that changed, and a run restart costs one batch of vector loads
 // instead of rebuilding every lane.
@@ -47,8 +54,15 @@ using render_detail::RayFrame;
 
 constexpr int kL = sd::kLanes;
 
+/// Per-axis DDA constants of the block grid, hoisted once per frame.
+struct DdaGrid {
+  const double* face[3];  ///< BlockGrid::faces(axis)
+  i64 dims[3];            ///< blocks per axis
+  BlockId id_step[3];     ///< block-id change of a +1 step on each axis
+};
+
 /// Per-ray state of one packet lane. Segment fields mirror the scalar
-/// block-coherent path's locals exactly; see advance_segment().
+/// block-coherent path's locals; see advance_segment().
 struct Lane {
   enum class Phase : u8 {
     kRetired,      ///< no ray, ray exited, or opacity-terminated
@@ -63,28 +77,38 @@ struct Lane {
   double vb[3] = {0.0, 0.0, 0.0};
   double t_entry = 0.0;
   double t_far = 0.0;
-  i64 cx = 0, cy = 0, cz = 0;  ///< DDA block coords (signed for stepping)
+  /// Distance along the ray to the current block's exit face on each axis
+  /// (+inf on an axis the ray does not move along).
+  double t_next[3] = {0.0, 0.0, 0.0};
+  i64 c[3] = {0, 0, 0};  ///< DDA block coords (signed for stepping)
   BlockId id = kInvalidBlock;
   u64 k = 0;      ///< global sample index (t_k = t_entry + k*step)
   u64 k_end = 0;  ///< first sample index past the current segment
-  // Brick hoists of the current resident segment.
-  const float* data = nullptr;
-  i32 wx0 = 0, wy0 = 0, wz0 = 0;
-  i32 wx1 = 0, wy1 = 0, wz1 = 0;
-  i32 rx = 0, rxy = 0;
+  BrickView view;  ///< brick of the current resident segment
   u32 stride = 1;  ///< sampling stride of the current block (1, 2, or 4)
   Phase phase = Phase::kRetired;
 };
 
+/// The block-coherent path's per-axis exit distance of the lane's current
+/// block: the same face coordinate (block_bounds reads the same table),
+/// the same subtraction and the same division, so the same double.
+double exit_distance(const Lane& ln, const DdaGrid& g, int axis) {
+  if (std::abs(ln.d[axis]) < 1e-12) {
+    return std::numeric_limits<double>::infinity();
+  }
+  const i64 face = ln.d[axis] > 0.0 ? ln.c[axis] + 1 : ln.c[axis];
+  return (g.face[axis][face] - ln.o[axis]) / ln.d[axis];
+}
+
 /// Scalar per-lane DDA advance: walk blocks from the lane's current
 /// position until a resident segment with samples is found (-> kSampling)
-/// or the ray is exhausted (-> kRetired). Mirrors the segment logic of the
-/// block-coherent raycast overload expression-for-expression so `k_end`
-/// sequences and skip counts are bit-identical to it.
-void advance_segment(Lane& ln, const BlockGrid& grid,
-                     const BrickSampler& bricks, const SamplingMask* mask,
-                     const Vec3& eye, double step, const Dims3& gdims,
-                     RaycastStats& rs) {
+/// or the ray is exhausted (-> kRetired). Follows the segment logic of the
+/// block-coherent raycast overload step for step — same exit distances,
+/// same first-minimum tie-break over axes 0, 1, 2 — so `k_end` sequences
+/// and skip counts are bit-identical to it.
+void advance_segment(Lane& ln, const DdaGrid& g, const BlockGrid& grid,
+                     const ResidentBrickSet& bricks, const SamplingMask* mask,
+                     const Vec3& eye, double step, RaycastStats& rs) {
   while (true) {
     const double t = ln.t_entry + static_cast<double>(ln.k) * step;
     if (t >= ln.t_far) {
@@ -100,22 +124,19 @@ void advance_segment(Lane& ln, const BlockGrid& grid,
         continue;
       }
       const BlockCoord c = grid.coord_of(ln.id);
-      ln.cx = static_cast<i64>(c.bx);
-      ln.cy = static_cast<i64>(c.by);
-      ln.cz = static_cast<i64>(c.bz);
+      ln.c[0] = static_cast<i64>(c.bx);
+      ln.c[1] = static_cast<i64>(c.by);
+      ln.c[2] = static_cast<i64>(c.bz);
+      for (int axis = 0; axis < 3; ++axis) {
+        ln.t_next[axis] = exit_distance(ln, g, axis);
+      }
     }
 
-    const AABB box = grid.block_bounds(ln.id);
-    const double lo[3] = {box.lo.x, box.lo.y, box.lo.z};
-    const double hi[3] = {box.hi.x, box.hi.y, box.hi.z};
     double t_exit = std::numeric_limits<double>::infinity();
     int exit_axis = -1;
     for (int axis = 0; axis < 3; ++axis) {
-      if (std::abs(ln.d[axis]) < 1e-12) continue;
-      double bound = ln.d[axis] > 0.0 ? hi[axis] : lo[axis];
-      double tb = (bound - ln.o[axis]) / ln.d[axis];
-      if (tb < t_exit) {
-        t_exit = tb;
+      if (ln.t_next[axis] < t_exit) {
+        t_exit = ln.t_next[axis];
         exit_axis = axis;
       }
     }
@@ -129,18 +150,11 @@ void advance_segment(Lane& ln, const BlockGrid& grid,
 
     const BrickView view = bricks.brick(ln.id);
     if (view.resident() && ln.k < k_end) {
-      ln.wx0 = static_cast<i32>(view.ox);
-      ln.wy0 = static_cast<i32>(view.oy);
-      ln.wz0 = static_cast<i32>(view.oz);
-      ln.wx1 = ln.wx0 + static_cast<i32>(view.ex) - 1;
-      ln.wy1 = ln.wy0 + static_cast<i32>(view.ey) - 1;
-      ln.wz1 = ln.wz0 + static_cast<i32>(view.ez) - 1;
-      ln.rx = static_cast<i32>(view.ex);
-      ln.rxy = static_cast<i32>(view.ex * view.ey);
-      ln.data = view.data;
+      ln.view = view;
       ln.stride = mask != nullptr ? mask->stride_of(ln.id) : 1u;
       ln.k_end = k_end;
       ln.phase = Lane::Phase::kSampling;
+      ++rs.segments;
       return;
     }
     if (!view.resident() && k_end > ln.k) {
@@ -153,18 +167,23 @@ void advance_segment(Lane& ln, const BlockGrid& grid,
       ln.phase = Lane::Phase::kRetired;
       return;
     }
-    // DDA step into the neighbor block through the exit face.
-    i64* coord = exit_axis == 0 ? &ln.cx : (exit_axis == 1 ? &ln.cy : &ln.cz);
-    *coord += ln.d[exit_axis] > 0.0 ? 1 : -1;
-    if (ln.cx < 0 || ln.cy < 0 || ln.cz < 0 ||
-        ln.cx >= static_cast<i64>(gdims.x) ||
-        ln.cy >= static_cast<i64>(gdims.y) ||
-        ln.cz >= static_cast<i64>(gdims.z)) {
-      ln.phase = Lane::Phase::kRetired;  // stepped off the grid
-      return;
+    // DDA step into the neighbor block through the exit face: only that
+    // axis's coordinate, block id and exit distance change.
+    const int a = exit_axis;
+    if (ln.d[a] > 0.0) {
+      if (++ln.c[a] >= g.dims[a]) {
+        ln.phase = Lane::Phase::kRetired;  // stepped off the grid
+        return;
+      }
+      ln.id += g.id_step[a];
+    } else {
+      if (--ln.c[a] < 0) {
+        ln.phase = Lane::Phase::kRetired;
+        return;
+      }
+      ln.id -= g.id_step[a];
     }
-    ln.id = grid.id_of({static_cast<usize>(ln.cx), static_cast<usize>(ln.cy),
-                        static_cast<usize>(ln.cz)});
+    ln.t_next[a] = exit_distance(ln, g, a);
   }
 }
 
@@ -174,7 +193,7 @@ usize raycast_packet_width() { return static_cast<usize>(sd::kLanes); }
 
 bool raycast_packet_native() { return sd::kNative; }
 
-Image raycast_packet(const Camera& camera, const BrickSampler& bricks,
+Image raycast_packet(const Camera& camera, const ResidentBrickSet& bricks,
                      const TransferFunctionLUT& lut,
                      const RaycastParams& params, ThreadPool* pool,
                      RaycastStats* stats, const SamplingMask* mask) {
@@ -195,6 +214,15 @@ Image raycast_packet(const Camera& camera, const BrickSampler& bricks,
   Image image(params.image_width, params.image_height);
   const Dims3 dims = grid.volume_dims();
   const Dims3 gdims = grid.grid_dims();
+  const DdaGrid dda{
+      {grid.faces(0), grid.faces(1), grid.faces(2)},
+      {static_cast<i64>(gdims.x), static_cast<i64>(gdims.y),
+       static_cast<i64>(gdims.z)},
+      {1, static_cast<BlockId>(gdims.x),
+       static_cast<BlockId>(gdims.x * gdims.y)}};
+  // The one gather base of every fetch; lanes address their brick through
+  // per-lane index biases (see fill_lane).
+  const float* const arena = bricks.arena();
   const RayFrame frame = make_ray_frame(camera, params);
   const float inv_range = 1.0f / (params.value_max - params.value_min);
   const double step = params.step_size;
@@ -219,7 +247,6 @@ Image raycast_packet(const Camera& camera, const BrickSampler& bricks,
     const sd::Vf v_scale = sd::set1(static_cast<float>(lut.resolution()));
     const sd::Vi v_last = sd::iset1(lut_last);
     const sd::Vi v_four = sd::iset1(4);
-    const sd::Vi ione = sd::iset1(1);
     const sd::Vf v_early = sd::set1(params.early_termination);
 
     for (usize x0 = 0; x0 < params.image_width;
@@ -229,18 +256,19 @@ Image raycast_packet(const Camera& camera, const BrickSampler& bricks,
 
       // Packet-persistent per-lane state. The vector loop reads these as
       // whole vectors; segment refills rewrite only the slots of the lane
-      // that changed. Tail/retired lanes keep zeroed (or stale-but-masked)
-      // slots — the window clamps keep any index they produce in-bounds,
-      // and the lane masks keep them out of every result.
+      // that changed. A lane's window stays valid after it retires, and
+      // the zeroed window of a lane that never sampled addresses
+      // arena[0..1], so the unmasked fetches of dead lanes stay in bounds
+      // while the lane masks keep them out of every result.
       Lane lanes[kL];
       alignas(32) float accr_a[kL] = {}, accg_a[kL] = {}, accb_a[kL] = {},
                         acca_a[kL] = {};
       alignas(32) float sx_a[kL] = {}, sy_a[kL] = {}, sz_a[kL] = {};
       alignas(32) float bx_a[kL] = {}, by_a[kL] = {}, bz_a[kL] = {};
-      alignas(32) i32 wx0_a[kL] = {}, wy0_a[kL] = {}, wz0_a[kL] = {};
-      alignas(32) i32 wx1_a[kL] = {}, wy1_a[kL] = {}, wz1_a[kL] = {};
-      alignas(32) i32 rx_a[kL] = {}, rxy_a[kL] = {};
-      const float* bases[kL] = {};
+      alignas(32) float w0x_a[kL] = {}, w0y_a[kL] = {}, w0z_a[kL] = {};
+      alignas(32) float w1x_a[kL] = {}, w1y_a[kL] = {}, w1z_a[kL] = {};
+      alignas(32) i32 wx1m_a[kL] = {}, wy1_a[kL] = {}, wz1_a[kL] = {};
+      alignas(32) i32 bias_a[kL] = {}, rx_a[kL] = {}, rxy_a[kL] = {};
       u32 s2_bits = 0, s4_bits = 0;
       u32 hit_bits = 0;
 
@@ -271,9 +299,10 @@ Image raycast_packet(const Camera& camera, const BrickSampler& bricks,
       // Refill lane l's packet slots for its freshly advanced segment:
       // voxel coordinates re-anchored from the double-precision affine form
       // at the lane's current sample (exactly the scalar fast path's
-      // per-segment re-anchor), window clamps, strides, and gather base.
+      // per-segment re-anchor), window clamps, strides, and index bias.
       auto fill_lane = [&](int l) {
         const Lane& ln = lanes[l];
+        const BrickView& v = ln.view;
         const double t0 = ln.t_entry + static_cast<double>(ln.k) * step;
         sx_a[l] = static_cast<float>(ln.va[0] + t0 * ln.vb[0]);
         sy_a[l] = static_cast<float>(ln.va[1] + t0 * ln.vb[1]);
@@ -282,15 +311,33 @@ Image raycast_packet(const Camera& camera, const BrickSampler& bricks,
         bx_a[l] = static_cast<float>(step * ln.vb[0]) * sf;
         by_a[l] = static_cast<float>(step * ln.vb[1]) * sf;
         bz_a[l] = static_cast<float>(step * ln.vb[2]) * sf;
-        wx0_a[l] = ln.wx0;
-        wy0_a[l] = ln.wy0;
-        wz0_a[l] = ln.wz0;
-        wx1_a[l] = ln.wx1;
-        wy1_a[l] = ln.wy1;
-        wz1_a[l] = ln.wz1;
-        rx_a[l] = ln.rx;
-        rxy_a[l] = ln.rxy;
-        bases[l] = ln.data;
+        const i32 wx0 = static_cast<i32>(v.ox);
+        const i32 wy0 = static_cast<i32>(v.oy);
+        const i32 wz0 = static_cast<i32>(v.oz);
+        const i32 wx1 = wx0 + static_cast<i32>(v.ex) - 1;
+        const i32 wy1 = wy0 + static_cast<i32>(v.ey) - 1;
+        const i32 wz1 = wz0 + static_cast<i32>(v.ez) - 1;
+        const i32 rx = static_cast<i32>(v.ex);
+        const i32 rxy = static_cast<i32>(v.ex * v.ey);
+        w0x_a[l] = static_cast<float>(wx0);
+        w0y_a[l] = static_cast<float>(wy0);
+        w0z_a[l] = static_cast<float>(wz0);
+        w1x_a[l] = static_cast<float>(wx1);
+        w1y_a[l] = static_cast<float>(wy1);
+        w1z_a[l] = static_cast<float>(wz1);
+        // The paired x fetch reads [xp, xp+1] with xp <= wx1m. A brick one
+        // voxel wide has no pair inside it: there xp = wx0 and the
+        // fraction is exactly 0, so lerp returns the voxel itself and the
+        // partner is never used (the arena's pad float keeps it readable).
+        wx1m_a[l] = std::max(wx1 - 1, wx0);
+        wy1_a[l] = wy1;
+        wz1_a[l] = wz1;
+        rx_a[l] = rx;
+        rxy_a[l] = rxy;
+        // Indices stay in volume voxel coords; the brick-local rebase (-w0
+        // per axis) and the brick's arena offset fold into one bias.
+        bias_a[l] =
+            wz0 * rxy + wy0 * rx + wx0 - static_cast<i32>(v.data - arena);
         const u32 bit = 1u << l;
         s2_bits = (s2_bits & ~bit) | (ln.stride == 2 ? bit : 0u);
         s4_bits = (s4_bits & ~bit) | (ln.stride == 4 ? bit : 0u);
@@ -309,7 +356,7 @@ Image raycast_packet(const Camera& camera, const BrickSampler& bricks,
         for (u32 b = need_bits; b != 0; b &= b - 1) {
           const int l = std::countr_zero(b);
           Lane& ln = lanes[l];
-          advance_segment(ln, grid, bricks, mask, frame.eye, step, gdims, rs);
+          advance_segment(ln, dda, grid, bricks, mask, frame.eye, step, rs);
           if (ln.phase == Lane::Phase::kSampling) {
             fill_lane(l);
             samp_bits |= 1u << l;
@@ -323,94 +370,50 @@ Image raycast_packet(const Camera& camera, const BrickSampler& bricks,
         // re-fills with fresh segments instead of idling lanes. Strides are
         // powers of two, so the remainder is a shift, never a divide.
         u64 n_run = std::numeric_limits<u64>::max();
-        const float* base0 = nullptr;
-        bool same_base = true;
         for (u32 b = samp_bits; b != 0; b &= b - 1) {
           const Lane& ln = lanes[std::countr_zero(b)];
           const u64 rem =
               (ln.k_end - ln.k + ln.stride - 1) >> std::countr_zero(ln.stride);
           n_run = std::min(n_run, rem);
-          if (base0 == nullptr) {
-            base0 = ln.data;
-          } else if (ln.data != base0) {
-            same_base = false;
-          }
-        }
-        if (same_base) {
-          // The shared-brick fast path fetches x-adjacent corner pairs in
-          // one load, which needs at least two voxels of x extent.
-          const Lane& ln0 = lanes[std::countr_zero(samp_bits)];
-          same_base = ln0.wx1 > ln0.wx0;
         }
         const bool any_stride = ((s2_bits | s4_bits) & samp_bits) != 0;
 
         u32 live_bits = samp_bits;
 
-        // The vector loop, specialized at compile time on (single gather
-        // base?, any strided lane?). The rare variants would otherwise keep
-        // extra values live across the whole loop and push the common
-        // one-brick full-rate case into stack spills.
+        // The vector loop, specialized at compile time on "any strided
+        // lane?". The rare variant would otherwise keep extra values live
+        // across the whole loop and push the common full-rate case into
+        // stack spills.
         //
-        // The loop is fissioned into two passes over a small chunk buffer:
+        // The loop is fissioned into passes over a small chunk buffer:
         // pass 1 turns positions into trilinear sample values, pass 2 turns
         // values into composited color. One fused iteration is ~200 uops —
         // more than the reorder buffer can hold twice — so the long
         // fetch->lerp->LUT->composite dependency chain never overlaps
         // across samples. Split, each pass is small enough for the CPU to
         // keep 2-3 iterations in flight.
-        auto vec_loop = [&](auto same_base_c, auto any_stride_c) {
-          constexpr bool kSameBase = decltype(same_base_c)::value;
+        auto vec_loop = [&](auto any_stride_c) {
           constexpr bool kAnyStride = decltype(any_stride_c)::value;
 
           sd::Vf sx = sd::load(sx_a), sy = sd::load(sy_a), sz = sd::load(sz_a);
           const sd::Vf bxv = sd::load(bx_a), byv = sd::load(by_a),
                        bzv = sd::load(bz_a);
-          // One brick -> one window: broadcast its bounds instead of
-          // reading the per-lane arrays (retired lanes then clamp into the
-          // live brick too, which keeps every index in bounds and lets the
-          // gathers run unmasked). The shared window also allows clamping
-          // the float positions instead of both integer corners per axis:
-          // whenever the clamp acts, either the two corners collapse or the
-          // fraction becomes 0, so the interpolated value is unchanged —
-          // at 4 ops per axis instead of 7.
-          sd::Vf w0xf, w0yf, w0zf, w1xf, w1yf, w1zf;
-          sd::Vi wx1m, wy1i, wz1i, biasv;
-          sd::Vi wx0, wy0, wz0, wx1, wy1, wz1;
-          sd::Vi rxv, rxyv;
-          if constexpr (kSameBase) {
-            const Lane& ln0 = lanes[std::countr_zero(samp_bits)];
-            w0xf = sd::set1(static_cast<float>(ln0.wx0));
-            w0yf = sd::set1(static_cast<float>(ln0.wy0));
-            w0zf = sd::set1(static_cast<float>(ln0.wz0));
-            w1xf = sd::set1(static_cast<float>(ln0.wx1));
-            w1yf = sd::set1(static_cast<float>(ln0.wy1));
-            w1zf = sd::set1(static_cast<float>(ln0.wz1));
-            wx1m = sd::iset1(ln0.wx1 - 1);
-            wy1i = sd::iset1(ln0.wy1);
-            wz1i = sd::iset1(ln0.wz1);
-            // Indices stay in volume voxel coords; the brick-local rebase
-            // (-w0 per axis) folds into one subtract on the x corners.
-            biasv = sd::iset1(ln0.wz0 * ln0.rxy + ln0.wy0 * ln0.rx + ln0.wx0);
-            rxv = sd::iset1(ln0.rx);
-            rxyv = sd::iset1(ln0.rxy);
-          } else {
-            wx0 = sd::iload(wx0_a);
-            wy0 = sd::iload(wy0_a);
-            wz0 = sd::iload(wz0_a);
-            wx1 = sd::iload(wx1_a);
-            wy1 = sd::iload(wy1_a);
-            wz1 = sd::iload(wz1_a);
-            rxv = sd::iload(rx_a);
-            rxyv = sd::iload(rxy_a);
-          }
+          // Per-lane windows. Clamping the float positions into them
+          // replaces clamping both integer corners per axis: whenever the
+          // clamp acts, either the two corners collapse or the fraction
+          // becomes 0, so the interpolated value is unchanged — at 4 ops
+          // per axis instead of 7.
+          const sd::Vf w0xf = sd::load(w0x_a), w0yf = sd::load(w0y_a),
+                       w0zf = sd::load(w0z_a);
+          const sd::Vf w1xf = sd::load(w1x_a), w1yf = sd::load(w1y_a),
+                       w1zf = sd::load(w1z_a);
+          const sd::Vi wx1m = sd::iload(wx1m_a), wy1i = sd::iload(wy1_a),
+                       wz1i = sd::iload(wz1_a);
+          const sd::Vi biasv = sd::iload(bias_a), rxv = sd::iload(rx_a),
+                       rxyv = sd::iload(rxy_a);
           sd::Vf vaccr = sd::load(accr_a), vaccg = sd::load(accg_a),
                  vaccb = sd::load(accb_a), vacca = sd::load(acca_a);
           sd::Mask m_live = sd::mask_from_bits(live_bits);
-          // Pass 1 gathers with the run's full sampling mask, not the
-          // shrinking live mask: every sampling lane's base stays valid for
-          // the whole run, so fetching a few samples past a lane's
-          // retirement point is safe (and masked out of the color).
-          const sd::Mask m_fetch = sd::mask_from_bits(samp_bits);
           // Stats accumulate in scalar registers and flush once per run:
           // adding to the shared counters inside the loop would force a
           // store (and an aliasing reload of every hoisted pointer) per
@@ -418,135 +421,74 @@ Image raycast_packet(const Camera& camera, const BrickSampler& bricks,
           u64 n_samples = 0;
           u64 n_composited = 0;
 
-          auto fetch = [&](sd::Vi idx) {
-            if constexpr (kSameBase) {
-              return sd::gather(base0, idx);
-            } else {
-              return sd::gather_lanes(bases, idx, m_fetch);
-            }
-          };
-
           constexpr u64 kChunk = 32;
           alignas(32) float vbuf[kChunk * kL];
-          // Shared-brick staging buffers between the index pass and the
-          // fetch pass (see below); one chunk's worth of corner indices
-          // and interpolation fractions.
-          [[maybe_unused]] alignas(32) i32 ib00[kChunk * kL];
-          [[maybe_unused]] alignas(32) i32 ib10[kChunk * kL];
-          [[maybe_unused]] alignas(32) i32 ib01[kChunk * kL];
-          [[maybe_unused]] alignas(32) i32 ib11[kChunk * kL];
-          [[maybe_unused]] alignas(32) float fbx[kChunk * kL];
-          [[maybe_unused]] alignas(32) float fby[kChunk * kL];
-          [[maybe_unused]] alignas(32) float fbz[kChunk * kL];
+          // Staging buffers between the index pass and the fetch pass (see
+          // below); one chunk's worth of corner indices and interpolation
+          // fractions.
+          alignas(32) i32 ib00[kChunk * kL];
+          alignas(32) i32 ib10[kChunk * kL];
+          alignas(32) i32 ib01[kChunk * kL];
+          alignas(32) i32 ib11[kChunk * kL];
+          alignas(32) float fbx[kChunk * kL];
+          alignas(32) float fby[kChunk * kL];
+          alignas(32) float fbz[kChunk * kL];
           for (u64 cbeg = 0; cbeg < n_run; cbeg += kChunk) {
             const u64 cend = std::min(n_run, cbeg + kChunk);
 
-            // Pass 1: positions -> trilinear sample values. The shared-
-            // brick path splits this again — index arithmetic first, corner
-            // fetches second — so the fetch loop's loads depend only on a
-            // staging-buffer read, not on the whole position -> clamp ->
-            // convert -> multiply chain, and several iterations' loads stay
-            // in flight at once.
-            if constexpr (kSameBase) {
-              for (u64 i = cbeg; i < cend; ++i) {
-                const u64 o = (i - cbeg) * kL;
-                const sd::Vf sxc = sd::min(sd::max(sx, w0xf), w1xf);
-                const sd::Vf syc = sd::min(sd::max(sy, w0yf), w1yf);
-                const sd::Vf szc = sd::min(sd::max(sz, w0zf), w1zf);
-                const sd::Vi iy = sd::to_int(syc);
-                const sd::Vi iz = sd::to_int(szc);
-                // The two x corners are adjacent in memory, so each
-                // (z, y) plane pair comes from ONE paired fetch at xp,
-                // chosen so [xp, xp+1] stays inside the window; at the
-                // high edge the fraction becomes exactly 1 instead.
-                const sd::Vi xp = sd::imin(sd::to_int(sxc), wx1m);
-                sd::store(fbx + o, sd::sub(sxc, sd::to_float(xp)));
-                sd::store(fby + o, sd::sub(syc, sd::to_float(iy)));
-                sd::store(fbz + o, sd::sub(szc, sd::to_float(iz)));
-                // The +1 corner is one row (dy) / one plane (dz) away, or
-                // the same row/plane when the clamp collapses it at the
-                // window's high edge — a compare+and instead of a second
-                // multiply per axis.
-                const sd::Vi dy = sd::iand(sd::icmp_gt(wy1i, iy), rxv);
-                const sd::Vi dz = sd::iand(sd::icmp_gt(wz1i, iz), rxyv);
-                const sd::Vi xb = sd::isub(xp, biasv);
-                const sd::Vi i00 = sd::iadd(
-                    sd::iadd(sd::imullo(iz, rxyv), sd::imullo(iy, rxv)), xb);
-                const sd::Vi i01 = sd::iadd(i00, dz);
-                sd::istore(ib00 + o, i00);
-                sd::istore(ib10 + o, sd::iadd(i00, dy));
-                sd::istore(ib01 + o, i01);
-                sd::istore(ib11 + o, sd::iadd(i01, dy));
-                sx = sd::add(sx, bxv);
-                sy = sd::add(sy, byv);
-                sz = sd::add(sz, bzv);
-              }
-              for (u64 i = cbeg; i < cend; ++i) {
-                const u64 o = (i - cbeg) * kL;
-                const sd::VfPair p00 = sd::gather_pairs(base0, sd::iload(ib00 + o));
-                const sd::VfPair p10 = sd::gather_pairs(base0, sd::iload(ib10 + o));
-                const sd::VfPair p01 = sd::gather_pairs(base0, sd::iload(ib01 + o));
-                const sd::VfPair p11 = sd::gather_pairs(base0, sd::iload(ib11 + o));
-                const sd::Vf fx = sd::load(fbx + o);
-                const sd::Vf c00 = sd::lerp(p00.lo, p00.hi, fx);
-                const sd::Vf c10 = sd::lerp(p10.lo, p10.hi, fx);
-                const sd::Vf c01 = sd::lerp(p01.lo, p01.hi, fx);
-                const sd::Vf c11 = sd::lerp(p11.lo, p11.hi, fx);
-                const sd::Vf fy = sd::load(fby + o);
-                const sd::Vf c0 = sd::lerp(c00, c10, fy);
-                const sd::Vf c1 = sd::lerp(c01, c11, fy);
-                sd::store(vbuf + o, sd::lerp(c0, c1, sd::load(fbz + o)));
-              }
-            } else
+            // Pass 1: positions -> trilinear sample values, split again —
+            // index arithmetic first, corner fetches second — so the fetch
+            // loop's loads depend only on a staging-buffer read, not on the
+            // whole position -> clamp -> convert -> multiply chain, and
+            // several iterations' loads stay in flight at once.
             for (u64 i = cbeg; i < cend; ++i) {
-              sd::Vf fy, fz;
-              sd::Vf c00, c10, c01, c11;
-              {
-                // Mixed bricks: truncate-and-clamp both integer corners
-                // into each lane's own window, exactly like the scalar
-                // fast path.
-                const sd::Vi ix = sd::to_int(sx);
-                const sd::Vi iy = sd::to_int(sy);
-                const sd::Vi iz = sd::to_int(sz);
-                const sd::Vf fx = sd::sub(sx, sd::to_float(ix));
-                fy = sd::sub(sy, sd::to_float(iy));
-                fz = sd::sub(sz, sd::to_float(iz));
-                const sd::Vi x0v =
-                    sd::isub(sd::imin(sd::imax(ix, wx0), wx1), wx0);
-                const sd::Vi x1v = sd::isub(
-                    sd::imin(sd::imax(sd::iadd(ix, ione), wx0), wx1), wx0);
-                const sd::Vi y0v =
-                    sd::isub(sd::imin(sd::imax(iy, wy0), wy1), wy0);
-                const sd::Vi y1v = sd::isub(
-                    sd::imin(sd::imax(sd::iadd(iy, ione), wy0), wy1), wy0);
-                const sd::Vi z0v =
-                    sd::isub(sd::imin(sd::imax(iz, wz0), wz1), wz0);
-                const sd::Vi z1v = sd::isub(
-                    sd::imin(sd::imax(sd::iadd(iz, ione), wz0), wz1), wz0);
-                const sd::Vi zr0 = sd::imullo(z0v, rxyv);
-                const sd::Vi zr1 = sd::imullo(z1v, rxyv);
-                const sd::Vi yr0 = sd::imullo(y0v, rxv);
-                const sd::Vi yr1 = sd::imullo(y1v, rxv);
-                const sd::Vi zy00 = sd::iadd(zr0, yr0);
-                const sd::Vi zy10 = sd::iadd(zr0, yr1);
-                const sd::Vi zy01 = sd::iadd(zr1, yr0);
-                const sd::Vi zy11 = sd::iadd(zr1, yr1);
-                c00 = sd::lerp(fetch(sd::iadd(zy00, x0v)),
-                               fetch(sd::iadd(zy00, x1v)), fx);
-                c10 = sd::lerp(fetch(sd::iadd(zy10, x0v)),
-                               fetch(sd::iadd(zy10, x1v)), fx);
-                c01 = sd::lerp(fetch(sd::iadd(zy01, x0v)),
-                               fetch(sd::iadd(zy01, x1v)), fx);
-                c11 = sd::lerp(fetch(sd::iadd(zy11, x0v)),
-                               fetch(sd::iadd(zy11, x1v)), fx);
-              }
-              const sd::Vf c0 = sd::lerp(c00, c10, fy);
-              const sd::Vf c1 = sd::lerp(c01, c11, fy);
-              sd::store(vbuf + (i - cbeg) * kL, sd::lerp(c0, c1, fz));
-
+              const u64 o = (i - cbeg) * kL;
+              const sd::Vf sxc = sd::min(sd::max(sx, w0xf), w1xf);
+              const sd::Vf syc = sd::min(sd::max(sy, w0yf), w1yf);
+              const sd::Vf szc = sd::min(sd::max(sz, w0zf), w1zf);
+              const sd::Vi iy = sd::to_int(syc);
+              const sd::Vi iz = sd::to_int(szc);
+              // The two x corners are adjacent in memory, so each (z, y)
+              // plane pair comes from ONE paired fetch at xp, chosen so
+              // [xp, xp+1] stays inside the window; at the high edge the
+              // fraction becomes exactly 1 instead.
+              const sd::Vi xp = sd::imin(sd::to_int(sxc), wx1m);
+              sd::store(fbx + o, sd::sub(sxc, sd::to_float(xp)));
+              sd::store(fby + o, sd::sub(syc, sd::to_float(iy)));
+              sd::store(fbz + o, sd::sub(szc, sd::to_float(iz)));
+              // The +1 corner is one row (dy) / one plane (dz) away, or
+              // the same row/plane when the clamp collapses it at the
+              // window's high edge — a compare+and instead of a second
+              // multiply per axis.
+              const sd::Vi dy = sd::iand(sd::icmp_gt(wy1i, iy), rxv);
+              const sd::Vi dz = sd::iand(sd::icmp_gt(wz1i, iz), rxyv);
+              const sd::Vi xb = sd::isub(xp, biasv);
+              const sd::Vi i00 = sd::iadd(
+                  sd::iadd(sd::imullo(iz, rxyv), sd::imullo(iy, rxv)), xb);
+              const sd::Vi i01 = sd::iadd(i00, dz);
+              sd::istore(ib00 + o, i00);
+              sd::istore(ib10 + o, sd::iadd(i00, dy));
+              sd::istore(ib01 + o, i01);
+              sd::istore(ib11 + o, sd::iadd(i01, dy));
               sx = sd::add(sx, bxv);
               sy = sd::add(sy, byv);
               sz = sd::add(sz, bzv);
+            }
+            for (u64 i = cbeg; i < cend; ++i) {
+              const u64 o = (i - cbeg) * kL;
+              const sd::VfPair p00 = sd::gather_pairs(arena, sd::iload(ib00 + o));
+              const sd::VfPair p10 = sd::gather_pairs(arena, sd::iload(ib10 + o));
+              const sd::VfPair p01 = sd::gather_pairs(arena, sd::iload(ib01 + o));
+              const sd::VfPair p11 = sd::gather_pairs(arena, sd::iload(ib11 + o));
+              const sd::Vf fx = sd::load(fbx + o);
+              const sd::Vf c00 = sd::lerp(p00.lo, p00.hi, fx);
+              const sd::Vf c10 = sd::lerp(p10.lo, p10.hi, fx);
+              const sd::Vf c01 = sd::lerp(p01.lo, p01.hi, fx);
+              const sd::Vf c11 = sd::lerp(p11.lo, p11.hi, fx);
+              const sd::Vf fy = sd::load(fby + o);
+              const sd::Vf c0 = sd::lerp(c00, c10, fy);
+              const sd::Vf c1 = sd::lerp(c01, c11, fy);
+              sd::store(vbuf + o, sd::lerp(c0, c1, sd::load(fbz + o)));
             }
 
             // Pass 2: values -> LUT color -> front-to-back compositing,
@@ -653,16 +595,10 @@ Image raycast_packet(const Camera& camera, const BrickSampler& bricks,
           rs.composited += n_composited;
         };
 
-        if (same_base) {
-          if (any_stride) {
-            vec_loop(std::true_type{}, std::true_type{});
-          } else {
-            vec_loop(std::true_type{}, std::false_type{});
-          }
-        } else if (any_stride) {
-          vec_loop(std::false_type{}, std::true_type{});
+        if (any_stride) {
+          vec_loop(std::true_type{});
         } else {
-          vec_loop(std::false_type{}, std::false_type{});
+          vec_loop(std::false_type{});
         }
 
         // Lanes retired mid-run (ET) are already out of live_bits; of the

@@ -132,25 +132,9 @@ inline Vf gather(const float* base, Vi idx, Mask active) {
 }
 
 /// base[idx] for EVERY lane — no mask, so every index must be in bounds.
-/// Cheaper than the masked form (no mask register copy per gather); used
-/// when the whole packet shares one brick and the window clamp already
-/// guarantees in-bounds indices for live and retired lanes alike.
+/// Cheaper than the masked form (no mask register copy per gather).
 inline Vf gather(const float* base, Vi idx) {
   return {_mm256_i32gather_ps(base, idx.v, 4)};
-}
-
-/// bases[l][idx[l]] per lane; inactive lanes yield 0 and are NOT
-/// dereferenced (their base pointer may be null). Used where a ray packet
-/// spans several bricks and no single gather base exists.
-inline Vf gather_lanes(const float* const* bases, Vi idx, Mask active) {
-  alignas(32) i32 ix[kLanes];
-  alignas(32) float out[kLanes];
-  istore(ix, idx);
-  const u32 m = bits(active);
-  for (int l = 0; l < kLanes; ++l) {
-    out[l] = (m >> l) & 1u ? bases[l][ix[l]] : 0.0f;
-  }
-  return load(out);
 }
 
 /// Two adjacent floats per lane: lo = base[idx], hi = base[idx + 1].
@@ -400,13 +384,6 @@ inline Vf gather(const float* base, Vi idx, Mask active) {
 inline Vf gather(const float* base, Vi idx) {
   Vf r;
   for (int l = 0; l < kLanes; ++l) r.lane[l] = base[idx.lane[l]];
-  return r;
-}
-
-inline Vf gather_lanes(const float* const* bases, Vi idx, Mask active) {
-  Vf r;
-  for (int l = 0; l < kLanes; ++l)
-    r.lane[l] = active.lane[l] ? bases[l][idx.lane[l]] : 0.0f;
   return r;
 }
 

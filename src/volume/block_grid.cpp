@@ -19,6 +19,18 @@ BlockGrid::BlockGrid(Dims3 volume_dims, Dims3 block_dims)
   grid_dims_ = {ceil_div(volume_dims.x, block_dims.x),
                 ceil_div(volume_dims.y, block_dims.y),
                 ceil_div(volume_dims.z, block_dims.z)};
+  const usize vd[3] = {volume_dims.x, volume_dims.y, volume_dims.z};
+  const usize bd[3] = {block_dims.x, block_dims.y, block_dims.z};
+  const usize gd[3] = {grid_dims_.x, grid_dims_.y, grid_dims_.z};
+  faces_.reserve(gd[0] + gd[1] + gd[2] + 3);
+  for (usize axis = 0; axis < 3; ++axis) {
+    face_offset_[axis] = faces_.size();
+    for (usize j = 0; j <= gd[axis]; ++j) {
+      const usize v = std::min(j * bd[axis], vd[axis]);
+      faces_.push_back(-1.0 + 2.0 * static_cast<double>(v) /
+                                  static_cast<double>(vd[axis]));
+    }
+  }
 }
 
 BlockGrid BlockGrid::with_target_block_count(Dims3 volume_dims,
@@ -71,16 +83,12 @@ usize BlockGrid::block_voxels(BlockId id) const {
 }
 
 AABB BlockGrid::block_bounds(BlockId id) const {
-  Dims3 o = block_voxel_origin(id);
-  Dims3 e = block_voxel_extent(id);
-  auto norm = [](usize v, usize total) {
-    return -1.0 + 2.0 * static_cast<double>(v) / static_cast<double>(total);
-  };
-  Vec3 lo{norm(o.x, volume_dims_.x), norm(o.y, volume_dims_.y),
-          norm(o.z, volume_dims_.z)};
-  Vec3 hi{norm(o.x + e.x, volume_dims_.x), norm(o.y + e.y, volume_dims_.y),
-          norm(o.z + e.z, volume_dims_.z)};
-  return {lo, hi};
+  const BlockCoord c = coord_of(id);
+  const double* fx = faces(0);
+  const double* fy = faces(1);
+  const double* fz = faces(2);
+  return {{fx[c.bx], fy[c.by], fz[c.bz]},
+          {fx[c.bx + 1], fy[c.by + 1], fz[c.bz + 1]}};
 }
 
 BlockId BlockGrid::block_at_normalized(const Vec3& p) const {

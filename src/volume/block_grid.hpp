@@ -59,6 +59,15 @@ class BlockGrid {
   /// Block bounds in the normalized [-1, 1]^3 frame.
   AABB block_bounds(BlockId id) const;
 
+  /// Normalized coordinates of the block faces along `axis` (0 = x, 1 = y,
+  /// 2 = z): entry j is -1 + 2*min(j*block_dim, volume_dim)/volume_dim, for
+  /// j in [0, grid_dims[axis]]. Block c spans [faces[c], faces[c+1]] on that
+  /// axis; block_bounds() reads the same table, so a ray walker that keeps
+  /// face coordinates sees exactly block_bounds()' doubles.
+  const double* faces(usize axis) const {
+    return faces_.data() + face_offset_[axis];
+  }
+
   /// Block id containing a normalized-frame point, or kInvalidBlock when the
   /// point lies outside the volume.
   BlockId block_at_normalized(const Vec3& p) const;
@@ -70,6 +79,8 @@ class BlockGrid {
   Dims3 volume_dims_;
   Dims3 block_dims_;
   Dims3 grid_dims_;
+  std::vector<double> faces_;     ///< x faces, then y faces, then z faces
+  usize face_offset_[3] = {0, 0, 0};
 };
 
 }  // namespace vizcache

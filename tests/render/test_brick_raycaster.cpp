@@ -196,6 +196,82 @@ TEST(ResidentBrickSet, LoadEvictTracksResidency) {
   EXPECT_EQ(s.bricks.resident_count(), n);
 }
 
+/// Every resident view must hold exactly the store's bytes for its block,
+/// inside the arena.
+void expect_views_match_store(const ResidentBrickSet& bricks,
+                              const BlockStore& store) {
+  usize resident = 0;
+  for (BlockId id = 0; id < store.grid().block_count(); ++id) {
+    const BrickView v = bricks.brick(id);
+    ASSERT_EQ(v.resident(), bricks.resident(id)) << "block " << id;
+    if (!v.resident()) continue;
+    ++resident;
+    const std::vector<float> want = store.read_block(id);
+    ASSERT_EQ(v.ex * v.ey * v.ez, want.size()) << "block " << id;
+    ASSERT_GE(v.data, bricks.arena());
+    ASSERT_LE(v.data + want.size(),
+              bricks.arena() + bricks.arena_floats());
+    EXPECT_TRUE(std::equal(want.begin(), want.end(), v.data))
+        << "block " << id;
+  }
+  EXPECT_EQ(bricks.resident_count(), resident);
+}
+
+TEST(ResidentBrickSet, ArenaReusesSlotsAndGrowsWithoutLosingBytes) {
+  // Clipped edge bricks (including a one-voxel-wide column) share the
+  // arena with full ones.
+  const SyntheticBlockStore store(make_ball_volume({33, 30, 29}), {8, 8, 8});
+  const usize n = store.grid().block_count();
+  ResidentBrickSet bricks(store.grid());
+  EXPECT_EQ(bricks.slot_capacity(), 0u);  // nothing allocated up front
+  EXPECT_EQ(bricks.arena_floats(), 0u);
+
+  // Grow one load at a time past the first capacity.
+  bricks.load(store, 0);
+  const usize first_capacity = bricks.slot_capacity();
+  ASSERT_GT(first_capacity, 0u);
+  ASSERT_LT(first_capacity, n);
+  for (BlockId id = 1; id < n; id += 2) bricks.load(store, id);
+  EXPECT_GT(bricks.slot_capacity(), first_capacity);
+  expect_views_match_store(bricks, store);
+
+  // Evict/reload cycles reuse freed slots: the capacity stays put and a
+  // newly loaded block lands in the slot just freed.
+  const usize capacity = bricks.slot_capacity();
+  const float* const arena = bricks.arena();
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    for (BlockId id = 1; id < n; id += 4) {
+      const float* freed = bricks.brick(id).data;
+      bricks.evict(id);
+      EXPECT_FALSE(bricks.resident(id));
+      const BlockId other = id + 1;  // even ids are not resident
+      if (other >= n || bricks.resident(other)) continue;
+      bricks.load(store, other);
+      EXPECT_EQ(bricks.brick(other).data, freed) << "block " << other;
+    }
+    for (BlockId id = 1; id < n; id += 4) {
+      if (id + 1 < n && bricks.resident(id + 1)) bricks.evict(id + 1);
+      bricks.load(store, id);
+    }
+    EXPECT_EQ(bricks.slot_capacity(), capacity);
+    EXPECT_EQ(bricks.arena(), arena);
+    expect_views_match_store(bricks, store);
+  }
+
+  // Reloading a resident block keeps its slot; a full load then grows the
+  // arena to one slot per block and every byte still matches.
+  const float* slot0 = bricks.brick(0).data;
+  bricks.load(store, 0);
+  EXPECT_EQ(bricks.brick(0).data, slot0);
+  bricks.load_all(store);
+  EXPECT_EQ(bricks.resident_count(), n);
+  EXPECT_EQ(bricks.slot_capacity(), n);
+  expect_views_match_store(bricks, store);
+  for (BlockId id = 0; id < n; ++id) bricks.evict(id);
+  EXPECT_EQ(bricks.resident_count(), 0u);
+  expect_views_match_store(bricks, store);
+}
+
 TEST(TransferFunctionLUT, ExactAtNodesPremultiplied) {
   const TransferFunction tf = TransferFunction::fire();
   const double step = 0.01;

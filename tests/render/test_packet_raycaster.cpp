@@ -52,7 +52,7 @@ double max_channel_diff(const Image& a, const Image& b) {
 /// Golden comparison: the packet image must match the retained scalar
 /// reference path within tol per channel (same oracle, same tolerance as
 /// the block-coherent suite).
-void expect_packet_matches_reference(const BrickSampler& bricks,
+void expect_packet_matches_reference(const ResidentBrickSet& bricks,
                                      const TransferFunction& tf,
                                      const RaycastParams& p, double tol,
                                      usize lut_resolution = 1024) {
@@ -145,8 +145,10 @@ TEST(PacketRaycaster, StatsMatchBlockCoherentExactly) {
   EXPECT_EQ(ps.rays, ds.rays);
   EXPECT_EQ(ps.samples, ds.samples);
   EXPECT_EQ(ps.skipped, ds.skipped);
+  EXPECT_EQ(ps.segments, ds.segments);
   EXPECT_GT(ps.samples, 0u);
   EXPECT_GT(ps.skipped, 0u);
+  EXPECT_GT(ps.segments, 0u);
   // Compositing decisions depend on sampled float values, which can move
   // by ulps at run re-anchors; allow a sliver of slack.
   const double pc = static_cast<double>(ps.composited);
@@ -165,8 +167,106 @@ TEST(PacketRaycaster, StatsMatchAtFullResidencyToo) {
   (void)raycast(cam, s.bricks, lut, p, nullptr, &ds);
   EXPECT_EQ(ps.rays, ds.rays);
   EXPECT_EQ(ps.samples, ds.samples);
+  EXPECT_EQ(ps.segments, ds.segments);
+  EXPECT_GT(ps.segments, 0u);
   EXPECT_EQ(ps.skipped, 0u);
   EXPECT_EQ(ds.skipped, 0u);
+}
+
+/// Edge-geometry check: the packet path against the DDA overload (exact
+/// work counters, 1e-4 image) and the scalar oracle (1e-3 image), with
+/// early termination off so no FP-sensitive flip re-attributes samples.
+void expect_packet_matches_dda_and_oracle(const ResidentBrickSet& bricks,
+                                          const Camera& cam,
+                                          RaycastParams p) {
+  p.early_termination = 2.0f;
+  const TransferFunction tf = TransferFunction::fire();
+  const TransferFunctionLUT lut(tf, p.step_size);
+  RaycastStats ps, ds;
+  const Image packet = raycast_packet(cam, bricks, lut, p, nullptr, &ps);
+  const Image dda = raycast(cam, bricks, lut, p, nullptr, &ds);
+  const Image ref = raycast(cam, make_reference_sampler(bricks), tf, p);
+  EXPECT_EQ(ps.rays, ds.rays);
+  EXPECT_EQ(ps.samples, ds.samples);
+  EXPECT_EQ(ps.skipped, ds.skipped);
+  EXPECT_EQ(ps.segments, ds.segments);
+  EXPECT_GT(ps.samples, 0u);
+  EXPECT_LE(max_channel_diff(packet, dda), 1e-4);
+  EXPECT_LE(max_channel_diff(packet, ref), 1e-3);
+  EXPECT_GT(packet.coverage(), 0.05);
+}
+
+/// A volume whose dims are not multiples of the brick dims: edge bricks
+/// are clipped on every axis, and the last brick column is one voxel wide
+/// in x (33 = 4*8 + 1), so packets mix full, clipped and one-voxel bricks.
+struct EdgeScene {
+  EdgeScene()
+      : store(make_ball_volume({33, 30, 29}), {8, 8, 8}),
+        bricks(store.grid()) {
+    bricks.load_all(store);
+  }
+  SyntheticBlockStore store;
+  ResidentBrickSet bricks;
+};
+
+TEST(PacketRaycaster, ClippedAndOneVoxelBricksMatchAtFullResidency) {
+  EdgeScene s;
+  const BlockGrid& grid = s.store.grid();
+  ASSERT_EQ(grid.grid_dims(), Dims3(5, 4, 4));
+  ASSERT_EQ(grid.block_voxel_extent(grid.id_of({4, 1, 2})).x, 1u);
+  // Viewed from +x so the one-voxel column faces the camera and every
+  // primary ray that enters there starts in it.
+  expect_packet_matches_dda_and_oracle(s.bricks, Camera({2.6, 0.9, 0.6}, 38.0),
+                                       strict_params());
+  expect_packet_matches_dda_and_oracle(s.bricks, Camera({2.4, 1.2, 0.7}, 38.0),
+                                       strict_params());
+}
+
+TEST(PacketRaycaster, ClippedAndOneVoxelBricksMatchAtPartialResidency) {
+  EdgeScene s;
+  const BlockGrid& grid = s.store.grid();
+  // Evict every third brick, but keep the one-voxel column resident so
+  // its bricks are sampled next to non-resident neighbours.
+  for (BlockId id = 0; id < grid.block_count(); id += 3) {
+    if (grid.coord_of(id).bx != 4) s.bricks.evict(id);
+  }
+  ASSERT_LT(s.bricks.resident_count(), grid.block_count());
+  expect_packet_matches_dda_and_oracle(s.bricks, Camera({2.6, 0.9, 0.6}, 38.0),
+                                       strict_params());
+  expect_packet_matches_dda_and_oracle(s.bricks,
+                                       Camera({-1.9, 2.1, -0.8}, 38.0),
+                                       strict_params());
+}
+
+TEST(PacketRaycaster, OneVoxelWideBricksStayInsideTheArena) {
+  // Every brick is one voxel wide in x and fills its arena slot, so the
+  // paired x fetch must neither start before slot 0 nor read past the last
+  // slot's final voxel without the arena's pad float (ASan sees both).
+  SyntheticBlockStore store(make_ball_volume({1, 16, 16}), {1, 8, 8});
+  ResidentBrickSet bricks(store.grid());
+  bricks.load_all(store);
+  ASSERT_EQ(bricks.arena_floats(), store.grid().block_count() * 64 + 1);
+  expect_packet_matches_dda_and_oracle(bricks, Camera({2.4, 1.2, 0.7}, 38.0),
+                                       strict_params());
+  bricks.evict(1);
+  expect_packet_matches_dda_and_oracle(bricks, Camera({-2.0, 1.5, -1.2}, 38.0),
+                                       strict_params());
+}
+
+TEST(PacketRaycaster, NarrowViewOverHalfResidentSmallBricksMatches) {
+  // The benchmark's frame in miniature: 16^3 bricks, a 10-degree view from
+  // distance 3, every other brick evicted. Rays cross many short segments
+  // and neighbouring lanes sit in different bricks most of the time.
+  SyntheticBlockStore store(make_ball_volume({96, 96, 96}), {16, 16, 16});
+  ResidentBrickSet bricks(store.grid());
+  bricks.load_all(store);
+  for (BlockId id = 0; id < store.grid().block_count(); id += 2) {
+    bricks.evict(id);
+  }
+  const Vec3 dir = Vec3{2.4, 1.2, 0.7}.normalized();
+  RaycastParams p = strict_params();
+  p.step_size = 0.01;
+  expect_packet_matches_dda_and_oracle(bricks, Camera(dir * 3.0, 10.0), p);
 }
 
 TEST(PacketRaycaster, ThreadPoolMatchesSerial) {

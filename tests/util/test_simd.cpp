@@ -164,18 +164,6 @@ TEST(Simd, GatherRespectsMask) {
   expect_lanes(sd::gather(table, sd::iload(wild), even), want_even);
 }
 
-TEST(Simd, GatherLanesUsesPerLaneBases) {
-  const float t0[4] = {1, 2, 3, 4};
-  const float t1[4] = {10, 20, 30, 40};
-  // Null bases on inactive lanes must be fine — exactly the situation of a
-  // packet whose retired lanes carry no brick.
-  const float* bases[kL] = {t0, t1, t0, t1, nullptr, t0, nullptr, t1};
-  alignas(32) const i32 idx[kL] = {0, 1, 2, 3, 0, 3, 0, 0};
-  const sd::Mask m = sd::mask_from_bits(0b10101111);
-  const float want[kL] = {1, 20, 3, 40, 0, 4, 0, 10};
-  expect_lanes(sd::gather_lanes(bases, sd::iload(idx), m), want);
-}
-
 TEST(Simd, UnmaskedGatherReadsEveryLane) {
   float table[16];
   for (int i = 0; i < 16; ++i) table[i] = static_cast<float>(i * i);

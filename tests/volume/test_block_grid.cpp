@@ -54,6 +54,33 @@ TEST(BlockGrid, BoundsCoverNormalizedCube) {
   EXPECT_NEAR(all.hi.z, 1.0, 1e-12);
 }
 
+TEST(BlockGrid, FaceTableGivesVoxelExactBounds) {
+  // The face table must reproduce the voxel-window formula bit for bit:
+  // the packet raycaster's cached exit distances rely on it.
+  BlockGrid grid({33, 30, 29}, {8, 8, 8});
+  auto norm = [](usize v, usize total) {
+    return -1.0 + 2.0 * static_cast<double>(v) / static_cast<double>(total);
+  };
+  const Dims3 vd = grid.volume_dims();
+  for (BlockId id = 0; id < grid.block_count(); ++id) {
+    const Dims3 o = grid.block_voxel_origin(id);
+    const Dims3 e = grid.block_voxel_extent(id);
+    const AABB b = grid.block_bounds(id);
+    EXPECT_EQ(b.lo.x, norm(o.x, vd.x));
+    EXPECT_EQ(b.lo.y, norm(o.y, vd.y));
+    EXPECT_EQ(b.lo.z, norm(o.z, vd.z));
+    EXPECT_EQ(b.hi.x, norm(o.x + e.x, vd.x));
+    EXPECT_EQ(b.hi.y, norm(o.y + e.y, vd.y));
+    EXPECT_EQ(b.hi.z, norm(o.z + e.z, vd.z));
+  }
+  EXPECT_EQ(grid.faces(0)[0], -1.0);
+  EXPECT_EQ(grid.faces(0)[grid.grid_dims().x], 1.0);
+  EXPECT_EQ(grid.faces(2)[grid.grid_dims().z], 1.0);
+  // The last x brick is one voxel wide: its faces are 2/33 apart.
+  EXPECT_EQ(grid.block_voxel_extent(grid.id_of({4, 0, 0})).x, 1u);
+  EXPECT_EQ(grid.faces(0)[4], norm(32, 33));
+}
+
 TEST(BlockGrid, BoundsDisjointInteriors) {
   BlockGrid grid({16, 16, 16}, {8, 8, 8});
   for (BlockId a = 0; a < grid.block_count(); ++a) {
