@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
 
   TablePrinter table({"dataset", "metric", "miss_rate", "io(s)",
                       "prefetch(s)", "total(s)"});
-  CsvWriter csv(env.csv_path(), {"dataset", "metric", "miss_rate", "io_s",
+  CsvWriter csv = env.open_csv({"dataset", "metric", "miss_rate", "io_s",
                                  "prefetch_s", "total_s"});
 
   for (DatasetId id : {DatasetId::kBall3d, DatasetId::kLiftedMixFrac}) {

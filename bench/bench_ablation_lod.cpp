@@ -36,8 +36,8 @@ int main(int argc, char** argv) {
 
   TablePrinter table(
       {"method", "miss_rate", "io(s)", "total(s)", "fidelity"});
-  CsvWriter csv(env.csv_path(),
-                {"method", "miss_rate", "io_s", "total_s", "fidelity"});
+  CsvWriter csv = env.open_csv(
+      {"method", "miss_rate", "io_s", "total_s", "fidelity"});
 
   auto report = [&](const std::string& name, double miss, double io,
                     double total, double fidelity) {

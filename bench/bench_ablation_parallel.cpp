@@ -32,9 +32,9 @@ int main(int argc, char** argv) {
 
   TablePrinter table({"workers", "partition", "io-makespan(s)", "speedup",
                       "entropy-imbalance", "total(s)"});
-  CsvWriter csv(env.csv_path(),
-                {"workers", "partition", "io_makespan_s", "fetch_speedup",
-                 "entropy_imbalance", "total_s"});
+  CsvWriter csv = env.open_csv(
+      {"workers", "partition", "io_makespan_s", "fetch_speedup",
+       "entropy_imbalance", "total_s"});
 
   std::vector<double> weight(wb.grid().block_count());
   for (BlockId id = 0; id < wb.grid().block_count(); ++id) {

@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
   if (env.quick) ranges = {{5, 10}};
 
   TablePrinter table({"degrees", "policy", "miss_rate", "io(s)", "total(s)"});
-  CsvWriter csv(env.csv_path(),
-                {"degrees", "policy", "miss_rate", "io_s", "total_s"});
+  CsvWriter csv = env.open_csv(
+      {"degrees", "policy", "miss_rate", "io_s", "total_s"});
 
   auto report = [&](const std::string& degrees, const std::string& name,
                     const RunResult& r) {

@@ -44,8 +44,8 @@ int main(int argc, char** argv) {
   QuerySchedule retune_fast = retune_schedule(std::max<usize>(1, env.positions / 16));
 
   TablePrinter table({"workload", "method", "miss_rate", "io(s)", "total(s)"});
-  CsvWriter csv(env.csv_path(),
-                {"workload", "method", "miss_rate", "io_s", "total_s"});
+  CsvWriter csv = env.open_csv(
+      {"workload", "method", "miss_rate", "io_s", "total_s"});
 
   auto run_workload = [&](const std::string& name,
                           const QuerySchedule* sched) {

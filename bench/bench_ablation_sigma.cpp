@@ -21,9 +21,9 @@ int main(int argc, char** argv) {
 
   TablePrinter table({"dataset", "fraction>sigma", "sigma(bits)", "miss_rate",
                       "prefetched/step", "io(s)", "prefetch(s)", "total(s)"});
-  CsvWriter csv(env.csv_path(),
-                {"dataset", "fraction", "sigma_bits", "miss_rate",
-                 "prefetched_per_step", "io_s", "prefetch_s", "total_s"});
+  CsvWriter csv = env.open_csv(
+      {"dataset", "fraction", "sigma_bits", "miss_rate", "prefetched_per_step",
+       "io_s", "prefetch_s", "total_s"});
 
   for (DatasetId id : {DatasetId::kBall3d, DatasetId::kLiftedMixFrac}) {
     for (double fraction : fractions) {

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
 
   TablePrinter table({"policy", "preload", "miss_rate", "io(s)", "accesses",
                       "unique_blocks"});
-  CsvWriter csv(env.csv_path(), {"policy", "preload", "miss_rate", "io_s",
+  CsvWriter csv = env.open_csv({"policy", "preload", "miss_rate", "io_s",
                                  "accesses", "unique_blocks"});
 
   for (PolicyKind kind : {PolicyKind::kFifo, PolicyKind::kLru,

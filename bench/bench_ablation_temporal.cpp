@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
 
   TablePrinter out({"steps/timestep", "method", "miss_rate", "io(s)",
                     "total(s)"});
-  CsvWriter csv(env.csv_path(), {"steps_per_timestep", "method", "miss_rate",
+  CsvWriter csv = env.open_csv({"steps_per_timestep", "method", "miss_rate",
                                  "io_s", "total_s"});
 
   auto report = [&](usize speed, const std::string& name, const RunResult& r) {

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
 
   TablePrinter table({"sweep", "value", "mean_entry", "miss_rate", "io(s)",
                       "prefetch(s)"});
-  CsvWriter csv(env.csv_path(), {"sweep", "value", "mean_entry_blocks",
+  CsvWriter csv = env.open_csv({"sweep", "value", "mean_entry_blocks",
                                  "miss_rate", "io_s", "prefetch_s"});
 
   auto report = [&](Workbench& wb, const std::string& sweep,

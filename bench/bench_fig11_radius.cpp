@@ -41,9 +41,8 @@ int main(int argc, char** argv) {
 
   TablePrinter table(
       {"radius", "io(s)", "prefetch(s)", "io+prefetch(s)", "miss_rate"});
-  CsvWriter csv(env.csv_path(),
-                {"radius", "io_s", "prefetch_s", "io_plus_prefetch_s",
-                 "miss_rate"});
+  CsvWriter csv = env.open_csv(
+      {"radius", "io_s", "prefetch_s", "io_plus_prefetch_s", "miss_rate"});
 
   auto report = [&](const std::string& label, const RunResult& r) {
     table.row({label, TablePrinter::fmt(r.io_time, 3),

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
 
   TablePrinter table(
       {"path", "degrees", "FIFO", "LRU", "OPT", "OPT/LRU", "OPT/FIFO"});
-  CsvWriter csv(env.csv_path(), {"path_kind", "degrees", "fifo_miss",
+  CsvWriter csv = env.open_csv({"path_kind", "degrees", "fifo_miss",
                                  "lru_miss", "opt_miss"});
 
   bool exported = false;

@@ -33,9 +33,9 @@ int main(int argc, char** argv) {
 
   TablePrinter table({"ratio", "degrees", "FIFO(s)", "LRU(s)", "OPT(s)",
                       "OPT vs LRU", "OPT vs FIFO"});
-  CsvWriter csv(env.csv_path(),
-                {"cache_ratio", "degrees", "fifo_total_s", "lru_total_s",
-                 "opt_total_s", "opt_io_s", "opt_prefetch_s", "opt_render_s"});
+  CsvWriter csv = env.open_csv(
+      {"cache_ratio", "degrees", "fifo_total_s", "lru_total_s", "opt_total_s",
+       "opt_io_s", "opt_prefetch_s", "opt_render_s"});
 
   bool exported = false;
   for (double ratio : ratios) {

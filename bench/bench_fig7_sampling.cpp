@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   TablePrinter table(
       {"dataset", "#samples", "miss_rate", "io_time(s)", "lookup(s)",
        "io+lookup(s)"});
-  CsvWriter csv(env.csv_path(), {"dataset", "samples", "miss_rate", "io_time_s",
+  CsvWriter csv = env.open_csv({"dataset", "samples", "miss_rate", "io_time_s",
                                  "lookup_time_s", "io_plus_lookup_s"});
 
   for (DatasetId id : datasets) {

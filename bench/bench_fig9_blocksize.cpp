@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   }
 
   TablePrinter table({"path", "degrees", "blocks", "FIFO", "LRU", "OPT"});
-  CsvWriter csv(env.csv_path(), {"path_kind", "degrees", "blocks", "fifo_miss",
+  CsvWriter csv = env.open_csv({"path_kind", "degrees", "blocks", "fifo_miss",
                                  "lru_miss", "opt_miss"});
 
   auto run_point = [&](Workbench& wb, const std::string& kind,

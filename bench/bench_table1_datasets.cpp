@@ -22,10 +22,10 @@ int main(int argc, char** argv) {
   TablePrinter table({"name", "description", "resolution(scaled)",
                       "resolution(paper)", "#vars", "size(scaled)",
                       "size(paper)", "entropy min/mean/max (bits)"});
-  CsvWriter csv(env.csv_path(),
-                {"name", "scaled_resolution", "paper_resolution", "variables",
-                 "scaled_bytes", "paper_bytes", "entropy_min", "entropy_mean",
-                 "entropy_max"});
+  CsvWriter csv = env.open_csv(
+      {"name", "scaled_resolution", "paper_resolution", "variables",
+       "scaled_bytes", "paper_bytes", "entropy_min", "entropy_mean",
+       "entropy_max"});
 
   for (DatasetId id : all_datasets()) {
     SyntheticVolume vol = make_dataset(id, env.scale);

@@ -156,16 +156,17 @@ BenchEnv BenchEnv::parse(const std::string& name, int argc,
   return env;
 }
 
-std::string BenchEnv::csv_path() const {
-  return cfg.get_string("csv", "bench_" + name + ".csv");
+CsvWriter BenchEnv::open_csv(const std::vector<std::string>& columns) const {
+  const std::string path = cfg.get_string("csv", "bench_" + name + ".csv");
+  std::cout << "# csv -> " << path << "\n";
+  return CsvWriter(path, columns);
 }
 
 void BenchEnv::banner(const std::string& what) const {
   std::cout << "# vizcache bench: " << name << "\n"
             << "# " << what << "\n"
             << "# scale=" << scale << " positions=" << positions
-            << " seed=" << seed << (quick ? " quick=1" : "") << "\n"
-            << "# csv -> " << csv_path() << "\n";
+            << " seed=" << seed << (quick ? " quick=1" : "") << "\n";
 }
 
 JsonObject metrics_snapshot_json(const MetricsSnapshot& snapshot) {

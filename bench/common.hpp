@@ -62,7 +62,10 @@ struct BenchEnv {
 
   static BenchEnv parse(const std::string& name, int argc, const char* const* argv);
 
-  std::string csv_path() const;
+  /// Open the bench's CSV (csv=path, default bench_<name>.csv) with the
+  /// given header and announce its path under the banner. Benches that
+  /// write no CSV never call it, so they announce no file.
+  CsvWriter open_csv(const std::vector<std::string>& columns) const;
 
   /// Print the run banner (binary, parameters, seed) so every reported row
   /// is reproducible.

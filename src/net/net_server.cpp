@@ -463,7 +463,12 @@ void NetServer::apply_completion(Completion& completion) {
 }
 
 void NetServer::enqueue(Connection& conn, std::vector<u8> frame) {
-  conn.wbuf.insert(conn.wbuf.end(), frame.begin(), frame.end());
+  if (!conn.wbuf.empty()) {
+    conn.wbuf.insert(conn.wbuf.end(), frame.begin(), frame.end());
+  } else {
+    conn.wbuf = std::move(frame);  // the common case: nothing queued, no copy
+    conn.wpos = 0;
+  }
   ins_.frames_sent->inc();
   update_events(conn);
 }

@@ -11,7 +11,11 @@ namespace {
 /// for the length prefix and patched in take().
 class WireWriter {
  public:
-  WireWriter() : bytes_(4, 0) {}
+  /// `body_bytes` pre-sizes the buffer when the frame's size is known.
+  explicit WireWriter(usize body_bytes = 0) {
+    bytes_.reserve(4 + body_bytes);
+    bytes_.resize(4);
+  }
 
   void put_u8(u8 v) { bytes_.push_back(v); }
   void put_u16(u16 v) { put_le(v); }
@@ -19,6 +23,12 @@ class WireWriter {
   void put_u64(u64 v) { put_le(v); }
   void put_f64(double v) { put_le(std::bit_cast<u64>(v)); }
   void put_type(FrameType t) { put_u8(static_cast<u8>(t)); }
+  /// Appends `n` bytes for the caller to fill; valid until the next put.
+  u8* extend(usize n) {
+    const usize at = bytes_.size();
+    bytes_.resize(at + n);
+    return bytes_.data() + at;
+  }
 
   std::vector<u8> take() {
     const u32 payload = static_cast<u32>(bytes_.size() - 4);
@@ -137,16 +147,21 @@ std::vector<u8> encode_step_ok(const SessionStepResult& result) {
 
 std::vector<u8> encode_fetch_ok(BlockId id, bool fast_hit, bool coalesced,
                                 SimSeconds seconds, u64 payload_bytes) {
-  VIZ_REQUIRE(payload_bytes + 22 <= kMaxResponsePayload,
+  // The length prefix counts the type byte and the 22 fixed bytes below.
+  constexpr u64 kFixedBytes = 1 + 4 + 1 + 1 + 8 + 8;
+  VIZ_REQUIRE(payload_bytes + kFixedBytes <= kMaxResponsePayload,
               "fetch payload exceeds the response frame cap");
-  WireWriter w;
+  WireWriter w(kFixedBytes + payload_bytes);
   w.put_type(FrameType::kFetchOk);
   w.put_u32(id);
   w.put_u8(fast_hit ? 1 : 0);
   w.put_u8(coalesced ? 1 : 0);
   w.put_f64(seconds);
   w.put_u64(payload_bytes);
-  for (u64 i = 0; i < payload_bytes; ++i) w.put_u8(block_payload_byte(id, i));
+  u8* payload = w.extend(payload_bytes);
+  for (u64 i = 0; i < payload_bytes; ++i) {
+    payload[i] = block_payload_byte(id, i);
+  }
   return w.take();
 }
 

@@ -15,7 +15,8 @@ BlockService::BlockService(const BlockGrid& grid, MemoryHierarchy hierarchy,
       table_(table),
       importance_(importance),
       bounds_(grid),
-      shared_(std::move(hierarchy), config.leader_pace_seconds) {
+      shared_(std::move(hierarchy), config.leader_pace_seconds),
+      timeline_(kTimelineCapacity) {
   if (config_.app_aware) {
     VIZ_REQUIRE(table_ != nullptr, "app-aware service needs T_visible");
     VIZ_REQUIRE(importance_ != nullptr, "app-aware service needs T_important");

@@ -132,7 +132,14 @@ class BlockService {
   /// hierarchy's and coalescer's (bound at construction).
   MetricsRegistry& metrics() { return metrics_; }
 
-  /// Copy of the per-session-lane timeline (StepEvent::worker == SessionId).
+  /// Events the service timeline keeps: the newest ~2,000 steps at 3–4
+  /// events each, 384 KiB reserved once, so a step never grows it under
+  /// mutex_ however long the service runs. Older events are overwritten
+  /// and counted in StepTimeline::dropped().
+  static constexpr usize kTimelineCapacity = 8192;
+
+  /// Copy of the per-session-lane timeline (StepEvent::worker == SessionId):
+  /// the newest kTimelineCapacity events.
   StepTimeline timeline() const EXCLUDES(mutex_);
 
  private:

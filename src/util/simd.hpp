@@ -125,18 +125,6 @@ inline Vf select(Mask m, Vf a, Vf b) {
   return {_mm256_blendv_ps(b.v, a.v, m.v)};
 }
 
-/// base[idx] per lane; inactive lanes yield 0 and are NOT dereferenced.
-inline Vf gather(const float* base, Vi idx, Mask active) {
-  return {_mm256_mask_i32gather_ps(_mm256_setzero_ps(), base, idx.v, active.v,
-                                   4)};
-}
-
-/// base[idx] for EVERY lane — no mask, so every index must be in bounds.
-/// Cheaper than the masked form (no mask register copy per gather).
-inline Vf gather(const float* base, Vi idx) {
-  return {_mm256_i32gather_ps(base, idx.v, 4)};
-}
-
 /// Two adjacent floats per lane: lo = base[idx], hi = base[idx + 1].
 struct VfPair {
   Vf lo, hi;
@@ -371,19 +359,6 @@ inline u32 bits(Mask m) {
 inline Vf select(Mask m, Vf a, Vf b) {
   Vf r;
   for (int l = 0; l < kLanes; ++l) r.lane[l] = m.lane[l] ? a.lane[l] : b.lane[l];
-  return r;
-}
-
-inline Vf gather(const float* base, Vi idx, Mask active) {
-  Vf r;
-  for (int l = 0; l < kLanes; ++l)
-    r.lane[l] = active.lane[l] ? base[idx.lane[l]] : 0.0f;
-  return r;
-}
-
-inline Vf gather(const float* base, Vi idx) {
-  Vf r;
-  for (int l = 0; l < kLanes; ++l) r.lane[l] = base[idx.lane[l]];
   return r;
 }
 

@@ -19,17 +19,42 @@ const char* step_event_kind_name(StepEvent::Kind kind) {
   return "?";
 }
 
+StepTimeline::StepTimeline(usize capacity) : capacity_(capacity) {
+  VIZ_REQUIRE(capacity > 0, "a bounded timeline needs a capacity");
+  events_.reserve(capacity);
+}
+
 void StepTimeline::record(const StepEvent& event) {
   VIZ_REQUIRE(event.end >= event.start, "step event ends before it starts");
+  if (capacity_ != 0 && events_.size() == capacity_) {
+    events_[head_] = event;  // full ring: overwrite the oldest
+    head_ = (head_ + 1) % capacity_;
+    ++dropped_;
+    return;
+  }
   // analyze: allow(hot-path-alloc): the timeline is the observability
   // product — amortized append of a trivially-copyable event, a few per
-  // step, never per block or per pixel.
+  // step, never per block or per pixel; a bounded ring appends into the
+  // storage reserved at construction.
   events_.push_back(event);
+}
+
+std::vector<StepEvent> StepTimeline::events() const {
+  const auto oldest = events_.begin() + static_cast<std::ptrdiff_t>(head_);
+  std::vector<StepEvent> out(oldest, events_.end());
+  out.insert(out.end(), events_.begin(), oldest);
+  return out;
+}
+
+void StepTimeline::clear() {
+  events_.clear();
+  head_ = 0;
+  dropped_ = 0;
 }
 
 std::vector<StepEvent> StepTimeline::events_of(StepEvent::Kind kind) const {
   std::vector<StepEvent> out;
-  for (const StepEvent& e : events_) {
+  for (const StepEvent& e : events()) {
     if (e.kind == kind) out.push_back(e);
   }
   return out;
@@ -90,8 +115,9 @@ std::string StepTimeline::chrome_trace_json() const {
 
   emit("{\"ph\": \"M\", \"pid\": 0, \"name\": \"process_name\", "
        "\"args\": {\"name\": \"vizcache simulated pipeline\"}}");
+  const std::vector<StepEvent> events = this->events();
   std::map<u32, std::string> lanes;  // ordered: deterministic output
-  for (const StepEvent& e : events_) {
+  for (const StepEvent& e : events) {
     std::string label = "w" + std::to_string(e.worker);
     label += lane_of(e) % 2 == 0 ? " fetch+render" : " lookup+prefetch";
     lanes.emplace(lane_of(e), std::move(label));
@@ -101,7 +127,7 @@ std::string StepTimeline::chrome_trace_json() const {
          ", \"name\": \"thread_name\", \"args\": {\"name\": \"" + label +
          "\"}}");
   }
-  for (const StepEvent& e : events_) {
+  for (const StepEvent& e : events) {
     std::ostringstream ev;
     ev << "{\"ph\": \"X\", \"pid\": 0, \"tid\": " << lane_of(e)
        << ", \"name\": \"" << step_event_kind_name(e.kind)

@@ -25,24 +25,40 @@ struct StepEvent {
 
 const char* step_event_kind_name(StepEvent::Kind kind);
 
-/// Append-only per-run event timeline recorded by VizPipeline::run_step and
-/// ParallelPipeline::run. Makes Algorithm 1's overlap claim (line 22:
-/// prefetch during rendering) directly inspectable below the per-run
-/// aggregate: the app-aware pipeline's prefetch spans overlap its render
-/// spans, a baseline's spans are strictly serial.
+/// Per-run event timeline recorded by VizPipeline::run_step,
+/// ParallelPipeline::run and BlockService::step. Makes Algorithm 1's
+/// overlap claim (line 22: prefetch during rendering) directly inspectable
+/// below the per-run aggregate: the app-aware pipeline's prefetch spans
+/// overlap its render spans, a baseline's spans are strictly serial.
+///
+/// A default-constructed timeline keeps every event (a simulated run is
+/// finite). A bounded one is a ring that keeps the newest `capacity`
+/// events and counts the ones it overwrote in dropped(); its storage is
+/// reserved once, so record() never reallocates — the shape a long-running
+/// server needs.
 ///
 /// Thread-compatible, not thread-safe (the simulators record from one
-/// thread); copies freely as part of RunResult.
+/// thread; BlockService records under its mutex); copies freely as part of
+/// RunResult.
 class StepTimeline {
  public:
+  StepTimeline() = default;
+  /// Bounded ring of `capacity` (> 0) events.
+  explicit StepTimeline(usize capacity);
+
   void record(const StepEvent& event);
 
-  const std::vector<StepEvent>& events() const { return events_; }
+  /// The kept events, oldest first.
+  std::vector<StepEvent> events() const;
   bool empty() const { return events_.empty(); }
   usize size() const { return events_.size(); }
-  void clear() { events_.clear(); }
+  /// Ring capacity; 0 for an unbounded timeline.
+  usize capacity() const { return capacity_; }
+  /// Events overwritten by newer ones since construction or clear().
+  u64 dropped() const { return dropped_; }
+  void clear();
 
-  /// Events of one kind, in record order.
+  /// Kept events of one kind, in record order.
   std::vector<StepEvent> events_of(StepEvent::Kind kind) const;
 
   /// Simulated end time of the last-ending event (0 when empty).
@@ -65,6 +81,9 @@ class StepTimeline {
 
  private:
   std::vector<StepEvent> events_;
+  usize capacity_ = 0;
+  usize head_ = 0;  ///< oldest event's slot once the ring has wrapped
+  u64 dropped_ = 0;
 };
 
 }  // namespace vizcache

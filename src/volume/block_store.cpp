@@ -1,5 +1,7 @@
 #include "volume/block_store.hpp"
 
+#include <span>
+
 #include "util/error.hpp"
 #include "volume/blocker.hpp"
 
@@ -37,26 +39,27 @@ std::vector<float> SyntheticBlockStore::read_block(BlockId id, usize var,
   VIZ_REQUIRE(id < grid_.block_count(), "block id out of range");
   VIZ_REQUIRE(var < volume_.desc.variables, "variable out of range");
   VIZ_REQUIRE(timestep < volume_.desc.timesteps, "timestep out of range");
-  Dims3 o = grid_.block_voxel_origin(id);
-  Dims3 e = grid_.block_voxel_extent(id);
+  const Dims3 o = grid_.block_voxel_origin(id);
+  const Dims3 e = grid_.block_voxel_extent(id);
   const Dims3& vd = grid_.volume_dims();
-  auto norm = [](usize i, usize total) {
-    return total == 1 ? 0.0
-                      : -1.0 + 2.0 * static_cast<double>(i) /
-                                   static_cast<double>(total - 1);
-  };
-  std::vector<float> out;
-  out.reserve(e.voxels());
-  for (usize z = 0; z < e.z; ++z) {
-    double nz = norm(o.z + z, vd.z);
-    for (usize y = 0; y < e.y; ++y) {
-      double ny = norm(o.y + y, vd.y);
-      for (usize x = 0; x < e.x; ++x) {
-        // analyze: allow(hot-path-alloc): constructs the returned payload
-        // within the capacity reserved right-sized above — the synthetic
-        // store's stand-in for a device read.
-        out.push_back(volume_.fn({norm(o.x + x, vd.x), ny, nz}, var, timestep));
-      }
+  // The block's normalized coordinates, once per axis.
+  std::vector<double> coords(e.x + e.y + e.z);
+  const std::span<double> xs(coords.data(), e.x);
+  const std::span<double> ys(coords.data() + e.x, e.y);
+  const std::span<double> zs(coords.data() + e.x + e.y, e.z);
+  for (usize i = 0; i < e.x; ++i) xs[i] = normalized_coordinate(o.x + i, vd.x);
+  for (usize i = 0; i < e.y; ++i) ys[i] = normalized_coordinate(o.y + i, vd.y);
+  for (usize i = 0; i < e.z; ++i) zs[i] = normalized_coordinate(o.z + i, vd.z);
+
+  std::vector<float> out(e.voxels());
+  if (volume_.block_fn) {
+    volume_.block_fn(xs, ys, zs, var, timestep, out);
+    return out;
+  }
+  usize v = 0;
+  for (const double z : zs) {
+    for (const double y : ys) {
+      for (const double x : xs) out[v++] = volume_.fn({x, y, z}, var, timestep);
     }
   }
   return out;

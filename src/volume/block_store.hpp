@@ -44,9 +44,12 @@ class MemoryBlockStore final : public BlockStore {
   std::vector<std::vector<float>> blocks_;
 };
 
-/// Block store that evaluates a SyntheticVolume's voxel function lazily —
-/// supports the paper's full-resolution datasets (e.g. 1024^3 3d_ball)
-/// without materializing them. Reads are deterministic.
+/// Block store that evaluates a SyntheticVolume lazily — supports the
+/// paper's full-resolution datasets (e.g. 1024^3 3d_ball) without
+/// materializing them. A read computes the block's per-axis normalized
+/// coordinates once, then runs the volume's block evaluator when it has one
+/// and its voxel function per voxel otherwise; the two give the same bytes.
+/// Reads are deterministic and safe to run concurrently.
 class SyntheticBlockStore final : public BlockStore {
  public:
   SyntheticBlockStore(SyntheticVolume volume, Dims3 block_dims);

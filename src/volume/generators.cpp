@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "util/error.hpp"
 #include "volume/noise.hpp"
@@ -15,7 +17,23 @@ double sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 /// Gaussian bump.
 double bump(double d2, double width) { return std::exp(-d2 / (width * width)); }
 
+/// The ball's value at radius r <= 0.95 given fbm at the scaled position:
+/// continuous interior variation — radial falloff + concentric shells + a
+/// whisper of noise so no two blocks are identical.
+float ball_value(double r, double fbm) {
+  double shells = 0.5 + 0.5 * std::sin(r * 18.0);
+  double falloff = 1.0 - r / 0.95;
+  double n = 0.1 * fbm;
+  return static_cast<float>(falloff * (0.7 + 0.3 * shells) + n);
+}
+
 }  // namespace
+
+double normalized_coordinate(usize i, usize total) {
+  return total == 1 ? 0.0
+                    : -1.0 + 2.0 * static_cast<double>(i) /
+                                 static_cast<double>(total - 1);
+}
 
 SyntheticVolume make_ball_volume(Dims3 dims, u64 seed) {
   SyntheticVolume v;
@@ -24,12 +42,41 @@ SyntheticVolume make_ball_volume(Dims3 dims, u64 seed) {
   v.fn = [noise](const Vec3& p, usize, usize) -> float {
     double r = p.norm();
     if (r > 0.95) return 0.0f;  // outside the ball: constant ambient
-    // Continuous interior variation: radial falloff + concentric shells +
-    // a whisper of noise so no two blocks are identical.
-    double shells = 0.5 + 0.5 * std::sin(r * 18.0);
-    double falloff = 1.0 - r / 0.95;
-    double n = 0.1 * noise->fbm(p.x * 4.0, p.y * 4.0, p.z * 4.0, 3);
-    return static_cast<float>(falloff * (0.7 + 0.3 * shells) + n);
+    return ball_value(r, noise->fbm(p.x * 4.0, p.y * 4.0, p.z * 4.0, 3, 0.5));
+  };
+  v.block_fn = [noise](std::span<const double> xs, std::span<const double> ys,
+                       std::span<const double> zs, usize, usize,
+                       std::span<float> out) {
+    // r = sqrt(x*x + y*y + z*z) rounds monotonically in each square, so the
+    // smallest squares bound every voxel's r from below: a block whose bound
+    // lies outside the ball is all ambient.
+    auto min_square = [](std::span<const double> a) {
+      double m = std::numeric_limits<double>::infinity();
+      for (double c : a) m = std::min(m, c * c);
+      return m;
+    };
+    if (std::sqrt(min_square(xs) + min_square(ys) + min_square(zs)) > 0.95) {
+      std::fill(out.begin(), out.end(), 0.0f);
+      return;
+    }
+    auto scaled = [](std::span<const double> a) {
+      std::vector<double> s(a.size());
+      for (usize i = 0; i < a.size(); ++i) s[i] = a[i] * 4.0;
+      return s;
+    };
+    std::vector<double> fbm(out.size());
+    noise->fbm_grid(scaled(xs), scaled(ys), scaled(zs), 3, 0.5, fbm);
+    usize at = 0;
+    for (const double z : zs) {
+      for (const double y : ys) {
+        for (const double x : xs) {
+          // Vec3::norm's operation order: sqrt(x*x + y*y + z*z).
+          const double r = std::sqrt(x * x + y * y + z * z);
+          out[at] = r > 0.95 ? 0.0f : ball_value(r, fbm[at]);
+          ++at;
+        }
+      }
+    }
   };
   return v;
 }
@@ -182,17 +229,13 @@ Field3D rasterize(const SyntheticVolume& vol, usize var, usize timestep) {
   VIZ_REQUIRE(timestep < vol.desc.timesteps, "timestep out of range");
   const Dims3& d = vol.desc.dims;
   Field3D f(d);
-  auto norm = [](usize i, usize total) {
-    return total == 1 ? 0.0
-                      : -1.0 + 2.0 * static_cast<double>(i) /
-                                   static_cast<double>(total - 1);
-  };
   for (usize z = 0; z < d.z; ++z) {
-    double nz = norm(z, d.z);
+    double nz = normalized_coordinate(z, d.z);
     for (usize y = 0; y < d.y; ++y) {
-      double ny = norm(y, d.y);
+      double ny = normalized_coordinate(y, d.y);
       for (usize x = 0; x < d.x; ++x) {
-        f.at(x, y, z) = vol.fn({norm(x, d.x), ny, nz}, var, timestep);
+        f.at(x, y, z) =
+            vol.fn({normalized_coordinate(x, d.x), ny, nz}, var, timestep);
       }
     }
   }

@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 
 #include "geom/vec3.hpp"
 #include "volume/field.hpp"
@@ -15,14 +16,31 @@ namespace vizcache {
 using VoxelFunction =
     std::function<float(const Vec3& pos, usize var, usize timestep)>;
 
-/// A procedurally-defined dataset: metadata plus the voxel function.
+/// Block form of a VoxelFunction over the grid xs × ys × zs of normalized
+/// coordinates, x fastest: out[(k * ys.size() + j) * xs.size() + i] must be
+/// bit-identical to fn({xs[i], ys[j], zs[k]}, var, timestep). It lets a
+/// generator share per-axis and per-lattice-cell work across a block.
+using BlockFunction = std::function<void(
+    std::span<const double> xs, std::span<const double> ys,
+    std::span<const double> zs, usize var, usize timestep,
+    std::span<float> out)>;
+
+/// A procedurally-defined dataset: metadata, the voxel function, and an
+/// optional block evaluator. `fn` is the point-query path and the oracle;
+/// SyntheticBlockStore reads through `block_fn` when it is set.
 struct SyntheticVolume {
   VolumeDesc desc;
   VoxelFunction fn;
+  BlockFunction block_fn;
 };
 
+/// Normalized [-1, 1] coordinate of voxel `i` on an axis of `total` voxels
+/// (0 on a one-voxel axis): the frame every voxel function is evaluated in.
+double normalized_coordinate(usize i, usize total);
+
 /// `3d_ball` (Table I): a 3D ball with continuous intensity changes inside —
-/// a smooth radial falloff modulated by concentric shells.
+/// a smooth radial falloff modulated by concentric shells. Has a block
+/// evaluator built on ValueNoise::fbm_grid.
 SyntheticVolume make_ball_volume(Dims3 dims, u64 seed = 7);
 
 /// Combustion-like scalar field standing in for `lifted_mix_frac` /

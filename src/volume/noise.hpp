@@ -1,5 +1,7 @@
 #pragma once
 
+#include <span>
+
 #include "util/types.hpp"
 
 namespace vizcache {
@@ -18,6 +20,17 @@ class ValueNoise {
   /// and the given persistence (gain). Output approximately in [0, 1].
   double fbm(double x, double y, double z, int octaves = 4,
              double persistence = 0.5) const;
+
+  /// fbm() at every point of the grid xs × ys × zs, x fastest:
+  /// out[(k * ys.size() + j) * xs.size() + i] == fbm(xs[i], ys[j], zs[k],
+  /// octaves, persistence), bit for bit. Per octave each axis's floor and
+  /// smoothstep are computed once and each lattice corner the grid touches
+  /// is hashed once; per point the lerps and the octave sum run in fbm()'s
+  /// order. Scratch is per call (at most 8 corners per output point), so
+  /// concurrent calls are safe. out.size() must equal the grid's size.
+  void fbm_grid(std::span<const double> xs, std::span<const double> ys,
+                std::span<const double> zs, int octaves, double persistence,
+                std::span<double> out) const;
 
  private:
   /// Hash of an integer lattice point to [0, 1].

@@ -107,6 +107,23 @@ TEST(Protocol, FetchOkCarriesDeterministicPayload) {
   EXPECT_NE(block_payload_byte(9, 0), block_payload_byte(10, 0));
 }
 
+TEST(Protocol, FetchOkAtTheResponseCapStillParses) {
+  // FETCH-OK's length prefix counts the type byte and 22 fixed bytes ahead
+  // of the payload. The largest payload the encoder accepts must frame
+  // within the client's cap, and one byte more must be refused up front.
+  const u64 largest = kMaxResponsePayload - 23;
+  const std::vector<u8> bytes = encode_fetch_ok(4, false, true, 0.0, largest);
+  ParsedFrame frame;
+  ASSERT_EQ(try_parse_frame(bytes, kMaxResponsePayload, frame),
+            ParseStatus::kFrame);
+  const std::optional<FetchReply> reply = decode_fetch_ok(frame.body);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->payload.size(), largest);
+  EXPECT_EQ(reply->payload.back(), block_payload_byte(4, largest - 1));
+  EXPECT_THROW(encode_fetch_ok(4, false, true, 0.0, largest + 1),
+               InvalidArgument);
+}
+
 TEST(Protocol, CloseOkRoundTrip) {
   SessionSummary sum;
   sum.id = 5;

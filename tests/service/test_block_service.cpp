@@ -285,6 +285,30 @@ TEST_F(BlockServiceTest, TimelineHasOneLanePerSession) {
             0.0);
 }
 
+TEST_F(BlockServiceTest, TimelineStaysBoundedAndKeepsTheNewestEvents) {
+  auto svc = make_service(make_config());
+  const auto id = svc->open_session();
+  ASSERT_TRUE(id);
+  // Run until the ring has wrapped well past its capacity (>= 2 events per
+  // step), then check the newest step's events are the last ones kept.
+  const CameraPath p = path(64);
+  const usize steps = BlockService::kTimelineCapacity;
+  u64 last_step = 0;
+  for (usize i = 0; i < steps; ++i) {
+    last_step = svc->step(*id, p[i % p.size()]).step;
+  }
+  const StepTimeline tl = svc->timeline();
+  EXPECT_EQ(tl.size(), BlockService::kTimelineCapacity);
+  EXPECT_EQ(tl.capacity(), BlockService::kTimelineCapacity);
+  EXPECT_GE(tl.dropped(), BlockService::kTimelineCapacity);
+  const std::vector<StepEvent> events = tl.events();
+  EXPECT_EQ(events.back().step, last_step);
+  EXPECT_LT(last_step - events.front().step, steps / 2);
+  for (usize i = 1; i < events.size(); ++i) {
+    ASSERT_LE(events[i - 1].step, events[i].step) << "event " << i;
+  }
+}
+
 TEST_F(BlockServiceTest, AppAwareServiceRequiresTables) {
   ServiceConfig cfg = make_config();
   EXPECT_THROW(BlockService(bench_->grid(), make_hierarchy(), cfg),

@@ -148,31 +148,6 @@ TEST(Simd, SelectBlendsPerLane) {
   }
 }
 
-TEST(Simd, GatherRespectsMask) {
-  const float table[16] = {0, 10, 20, 30, 40, 50, 60, 70,
-                           80, 90, 100, 110, 120, 130, 140, 150};
-  alignas(32) const i32 idx[kL] = {15, 0, 3, 7, 1, 2, 9, 4};
-  const sd::Mask all = sd::mask_from_bits(0xFF);
-  const float want_all[kL] = {150, 0, 30, 70, 10, 20, 90, 40};
-  expect_lanes(sd::gather(table, sd::iload(idx), all), want_all);
-  // Inactive lanes read 0 and are not dereferenced: give them an index far
-  // outside the table — only the mask keeps this well-defined.
-  alignas(32) const i32 wild[kL] = {15, 1 << 30, 3, 1 << 30,
-                                    1, 1 << 30, 9, 1 << 30};
-  const sd::Mask even = sd::mask_from_bits(0b01010101);
-  const float want_even[kL] = {150, 0, 30, 0, 10, 0, 90, 0};
-  expect_lanes(sd::gather(table, sd::iload(wild), even), want_even);
-}
-
-TEST(Simd, UnmaskedGatherReadsEveryLane) {
-  float table[16];
-  for (int i = 0; i < 16; ++i) table[i] = static_cast<float>(i * i);
-  // Unsorted, duplicated, and boundary (0 and 15) indices.
-  alignas(32) const i32 idx[kL] = {15, 0, 7, 7, 3, 12, 0, 9};
-  const float want[kL] = {225, 0, 49, 49, 9, 144, 0, 81};
-  expect_lanes(sd::gather(table, sd::iload(idx)), want);
-}
-
 TEST(Simd, GatherPairsFetchesAdjacentPairs) {
   float table[12];
   for (int i = 0; i < 12; ++i) table[i] = static_cast<float>(100 + i);

@@ -30,6 +30,38 @@ TEST(StepTimeline, RecordsInOrderAndFilters) {
   EXPECT_DOUBLE_EQ(tl.span_end(), 3.5);
 }
 
+TEST(StepTimeline, BoundedRingKeepsTheNewestEventsInOrder) {
+  StepTimeline tl(3);
+  EXPECT_EQ(tl.capacity(), 3u);
+  for (u64 step = 1; step <= 7; ++step) {
+    tl.record(make(StepEvent::Kind::kFetch, step, 0, 0.0, 1.0));
+  }
+  EXPECT_EQ(tl.size(), 3u);
+  EXPECT_EQ(tl.dropped(), 4u);
+  const std::vector<StepEvent> events = tl.events();
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[0].step, 5u);
+  EXPECT_EQ(events[1].step, 6u);
+  EXPECT_EQ(events[2].step, 7u);
+  EXPECT_EQ(tl.events_of(StepEvent::Kind::kFetch).front().step, 5u);
+  tl.clear();
+  EXPECT_TRUE(tl.empty());
+  EXPECT_EQ(tl.dropped(), 0u);
+  tl.record(make(StepEvent::Kind::kFetch, 8, 0, 0.0, 1.0));
+  EXPECT_EQ(tl.events().front().step, 8u);
+  EXPECT_THROW(StepTimeline(0), InvalidArgument);
+}
+
+TEST(StepTimeline, UnboundedTimelineDropsNothing) {
+  StepTimeline tl;
+  for (u64 step = 0; step < 100; ++step) {
+    tl.record(make(StepEvent::Kind::kRender, step, 0, 0.0, 1.0));
+  }
+  EXPECT_EQ(tl.size(), 100u);
+  EXPECT_EQ(tl.capacity(), 0u);
+  EXPECT_EQ(tl.dropped(), 0u);
+}
+
 TEST(StepTimeline, RejectsNegativeSpans) {
   StepTimeline tl;
   EXPECT_THROW(tl.record(make(StepEvent::Kind::kFetch, 1, 0, 2.0, 1.0)),

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "util/error.hpp"
 #include "volume/blocker.hpp"
 
@@ -84,6 +86,43 @@ TEST(SyntheticBlockStore, OutOfRangeIdThrows) {
   SyntheticVolume ball = make_ball_volume({8, 8, 8});
   SyntheticBlockStore store(ball, {4, 4, 4});
   EXPECT_THROW(store.read_block(999, 0, 0), InvalidArgument);
+}
+
+/// Every block of `vol` read through its block evaluator equals, byte for
+/// byte, the read through the per-voxel function alone.
+void expect_block_path_matches_oracle(const SyntheticVolume& vol,
+                                      Dims3 block_dims) {
+  ASSERT_TRUE(vol.block_fn);
+  SyntheticVolume per_voxel = vol;
+  per_voxel.block_fn = nullptr;
+  const SyntheticBlockStore fast(vol, block_dims);
+  const SyntheticBlockStore oracle(per_voxel, block_dims);
+  for (BlockId id = 0; id < fast.grid().block_count(); ++id) {
+    const std::vector<float> got = fast.read_block(id, 0, 0);
+    const std::vector<float> want = oracle.read_block(id, 0, 0);
+    ASSERT_EQ(got.size(), want.size()) << "block " << id;
+    ASSERT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+              0)
+        << "block " << id;
+  }
+}
+
+TEST(SyntheticBlockStore, BallBlockEvaluatorMatchesOracleOnBenchWorld) {
+  // The benchmark's world: 205^3 in 16^3 bricks, 2,197 blocks, so the last
+  // block on each axis is 13 voxels wide.
+  const SyntheticVolume ball = make_ball_volume({205, 205, 205});
+  EXPECT_EQ(SyntheticBlockStore(ball, {16, 16, 16}).grid().block_count(),
+            2197u);
+  expect_block_path_matches_oracle(ball, {16, 16, 16});
+}
+
+TEST(SyntheticBlockStore, BallBlockEvaluatorMatchesOracleOnDegenerateAxes) {
+  // A one-voxel axis puts every voxel at coordinate 0 on it (norm's
+  // total == 1 branch); mixed with ragged and one-voxel-wide blocks.
+  expect_block_path_matches_oracle(make_ball_volume({1, 23, 17}, 3),
+                                   {4, 8, 5});
+  expect_block_path_matches_oracle(make_ball_volume({31, 1, 9}, 5),
+                                   {7, 3, 1});
 }
 
 }  // namespace

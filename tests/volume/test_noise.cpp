@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <vector>
+
+#include "util/error.hpp"
 
 namespace vizcache {
 namespace {
@@ -87,6 +91,43 @@ TEST(ValueNoise, FbmAddsDetail) {
 TEST(ValueNoise, FbmZeroOctavesIsZero) {
   ValueNoise n(23);
   EXPECT_DOUBLE_EQ(n.fbm(1.0, 2.0, 3.0, 0), 0.0);
+}
+
+TEST(ValueNoise, FbmGridIsBitIdenticalToFbm) {
+  // Negative coordinates, points exactly on lattice-cell boundaries at every
+  // octave's frequency, an unsorted axis and a repeated value.
+  const std::vector<double> xs = {-3.0, -2.5, -1.0, -0.75, -0.0,
+                                  0.0,  0.5,  1.0,  2.25,  1.0};
+  const std::vector<double> ys = {4.0, -1.999, 0.125, -7.5};
+  const std::vector<double> zs = {-0.5, 3.0, -12.0};
+  const ValueNoise n(99);
+  for (const int octaves : {0, 1, 3, 5}) {
+    for (const double persistence : {0.5, 0.55}) {
+      std::vector<double> grid(xs.size() * ys.size() * zs.size());
+      n.fbm_grid(xs, ys, zs, octaves, persistence, grid);
+      usize at = 0;
+      for (const double z : zs) {
+        for (const double y : ys) {
+          for (const double x : xs) {
+            const double want = n.fbm(x, y, z, octaves, persistence);
+            EXPECT_EQ(std::bit_cast<u64>(grid[at]), std::bit_cast<u64>(want))
+                << "octaves " << octaves << " at (" << x << ", " << y << ", "
+                << z << ")";
+            ++at;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ValueNoise, FbmGridHandlesEmptyAxesAndRejectsBadOutput) {
+  const ValueNoise n(1);
+  const std::vector<double> xs = {0.25, 0.5};
+  std::vector<double> none;
+  n.fbm_grid(xs, none, xs, 3, 0.5, none);  // empty grid: nothing to do
+  std::vector<double> wrong(3);
+  EXPECT_THROW(n.fbm_grid(xs, xs, xs, 3, 0.5, wrong), InvalidArgument);
 }
 
 }  // namespace
