@@ -217,6 +217,43 @@ usize preload_ranked(const ImportanceTable& importance, double sigma_bits,
   return scanned;
 }
 
+std::vector<BlockId> rank_prefetch(
+    const ImportanceTable& importance, double sigma_bits,
+    std::span<const BlockId> predicted,
+    const std::function<bool(BlockId)>& resident_fast,
+    const std::function<bool(BlockId)>& keep) {
+  std::vector<BlockId> candidates;
+  candidates.reserve(predicted.size());
+  for (BlockId id : predicted) {
+    if (importance.entropy(id) <= sigma_bits) continue;
+    if (keep && !keep(id)) continue;
+    if (resident_fast(id)) continue;
+    // analyze: allow(hot-path-alloc): per-call buffer, reserved to the
+    // prediction size above; it must stay local — BlockService::step calls
+    // this concurrently across sessions, so a shared scratch would race.
+    candidates.push_back(id);
+  }
+  std::sort(candidates.begin(), candidates.end(),
+            [&importance](BlockId a, BlockId b) {
+              return importance.entropy(a) > importance.entropy(b);
+            });
+  return candidates;
+}
+
+usize spend_prefetch(std::span<const BlockId> ordered, u64& budget_bytes,
+                     const std::function<u64(BlockId)>& bytes_of,
+                     const std::function<bool(BlockId)>& issue) {
+  usize issued = 0;
+  for (BlockId id : ordered) {
+    const u64 bytes = bytes_of(id);
+    if (bytes > budget_bytes) break;  // DRAM is full: the pass ends here
+    if (!issue(id)) continue;         // shed or skipped: nothing spent
+    budget_bytes -= bytes;
+    ++issued;
+  }
+  return issued;
+}
+
 SamplingMask make_sampling_mask(const ImportanceTable& table,
                                 double sigma_bits, u8 coarse_stride) {
   VIZ_REQUIRE(

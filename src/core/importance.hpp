@@ -1,6 +1,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -101,6 +102,31 @@ usize preload_ranked(const ImportanceTable& importance, double sigma_bits,
                      u64 budget_bytes,
                      const std::function<u64(BlockId)>& bytes_of,
                      const std::function<void(BlockId)>& preload);
+
+/// Algorithm 1 line 22's prefetch is Rank, then Spend: every pipeline and
+/// the block service call both, so the prefetch rule has one
+/// implementation.
+///
+/// Rank: the `predicted` ids with entropy above `sigma_bits` that pass the
+/// caller's `keep` test (an empty `keep` keeps all, e.g. a query's
+/// `may_match` narrows it) and are not `resident_fast`, most important
+/// first (descending entropy).
+std::vector<BlockId> rank_prefetch(
+    const ImportanceTable& importance, double sigma_bits,
+    std::span<const BlockId> predicted,
+    const std::function<bool(BlockId)>& resident_fast,
+    const std::function<bool(BlockId)>& keep = nullptr);
+
+/// Spend: walk `ordered` against `budget_bytes` (the fast-memory space the
+/// current visible set leaves, paper Section IV-B). The first id larger than
+/// the remaining budget ends the pass, even if a smaller one follows: the
+/// predicted and visible blocks together must not overflow DRAM. Otherwise
+/// `issue(id)` runs, and the id's bytes leave the budget only when it
+/// returns true (a caller may shed or skip an id without spending).
+/// Returns the number of ids issued.
+usize spend_prefetch(std::span<const BlockId> ordered, u64& budget_bytes,
+                     const std::function<u64(BlockId)>& bytes_of,
+                     const std::function<bool(BlockId)>& issue);
 
 /// Importance-masked adaptive sampling wiring: blocks whose entropy exceeds
 /// `sigma_bits` keep the full sampling rate (stride 1), everything else is

@@ -75,16 +75,13 @@ LodRunResult LodPipeline::run(const CameraPath& path) {
     }
 
     sr.render_time = render_model_.frame_time(ordered.size());
-    sr.total_time = sr.io_time + sr.render_time;
+    sr.total_time = overlapped_step_time(sr.io_time, sr.render_time,
+                                         sr.lookup_time, sr.prefetch_time);
     result.steps.push_back(sr);
   }
 
   result.fast_miss_rate = hierarchy_.stats().fast_miss_rate();
-  for (const StepResult& s : result.steps) {
-    result.io_time += s.io_time;
-    result.render_time += s.render_time;
-    result.total_time += s.total_time;
-  }
+  result.add_steps(result.steps);
   result.mean_fidelity =
       fidelity_blocks ? fidelity_sum / static_cast<double>(fidelity_blocks)
                       : 1.0;

@@ -21,12 +21,9 @@ struct LodSelector {
 };
 
 /// Per-run results of the LOD baseline.
-struct LodRunResult {
+struct LodRunResult : RunTotals {
   std::vector<StepResult> steps;
   double fast_miss_rate = 0.0;
-  SimSeconds io_time = 0.0;
-  SimSeconds render_time = 0.0;
-  SimSeconds total_time = 0.0;
   u64 bytes_fetched = 0;      ///< demand bytes served below the fast level
   /// Mean fraction of full resolution rendered, weighted per fine block:
   /// level l contributes (1/8)^l. 1.0 = everything at full res.

@@ -1,6 +1,7 @@
 #include "core/parallel_pipeline.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/error.hpp"
 
@@ -58,19 +59,19 @@ ParallelRunResult ParallelPipeline::run(const CameraPath& path) {
       "pipeline.step.total_seconds", latency_seconds_bounds());
   SimSeconds clock = 0.0;
 
-  // Preload: each worker stages its own most-important blocks.
+  // Preload: each worker stages its own most-important blocks into its own
+  // slice (Algorithm 1 line 7 per worker); other workers' blocks never fit.
   if (config_.app_aware && config_.preload_important) {
-    std::vector<u64> budget(n);
     for (usize w = 0; w < n; ++w) {
-      budget[w] = hierarchies_[w].cache(0).capacity_bytes();
-    }
-    for (BlockId id : importance_->ranked()) {
-      if (importance_->entropy(id) <= config_.sigma_bits) break;
-      u32 w = partition_.owner(id);
-      const u64 bytes = grid_.block_bytes(id);
-      if (bytes > budget[w]) continue;
-      hierarchies_[w].preload(id);
-      budget[w] -= bytes;
+      preload_ranked(
+          *importance_, config_.sigma_bits,
+          hierarchies_[w].cache(0).capacity_bytes(),
+          [&](BlockId id) {
+            return partition_.owner(id) == w
+                       ? grid_.block_bytes(id)
+                       : std::numeric_limits<u64>::max();
+          },
+          [&](BlockId id) { hierarchies_[w].preload(id); });
     }
   }
 
@@ -138,30 +139,29 @@ ParallelRunResult ParallelPipeline::run(const CameraPath& path) {
         }
         budget[w] = cap > used ? cap - used : 0;
       }
-      std::vector<BlockId> candidates;
-      for (BlockId id : predicted) {
-        if (importance_->entropy(id) <= config_.sigma_bits) continue;
-        if (hierarchies_[partition_.owner(id)].resident_fast(id)) continue;
-        candidates.push_back(id);
-      }
-      std::sort(candidates.begin(), candidates.end(),
-                [this](BlockId a, BlockId b) {
-                  return importance_->entropy(a) > importance_->entropy(b);
-                });
+      // Rank once, then each worker spends its own budget on its share of
+      // the ranking: a worker's budget stops only that worker's pass.
+      const std::vector<BlockId> candidates = rank_prefetch(
+          *importance_, config_.sigma_bits, predicted, [this](BlockId id) {
+            return hierarchies_[partition_.owner(id)].resident_fast(id);
+          });
+      std::vector<std::vector<BlockId>> worker_candidates(n);
       for (BlockId id : candidates) {
-        u32 w = partition_.owner(id);
-        const u64 bytes = grid_.block_bytes(id);
-        if (bytes > budget[w]) continue;  // this worker is full; others may fit
-        budget[w] -= bytes;
-        SimSeconds t = hierarchies_[w].prefetch(id, step);
-        worker_pf[w] += t;
-        ++worker_pf_blocks[w];
-        result.workers[w].prefetch_time += t;
-        ++sr.prefetched;
+        worker_candidates[partition_.owner(id)].push_back(id);
+      }
+      for (usize w = 0; w < n; ++w) {
+        worker_pf_blocks[w] = spend_prefetch(
+            worker_candidates[w], budget[w],
+            [this](BlockId id) { return grid_.block_bytes(id); },
+            [&](BlockId id) {
+              const SimSeconds t = hierarchies_[w].prefetch(id, step);
+              worker_pf[w] += t;
+              result.workers[w].prefetch_time += t;
+              return true;
+            });
+        sr.prefetched += worker_pf_blocks[w];
       }
       sr.prefetch_time = *std::max_element(worker_pf.begin(), worker_pf.end());
-      sr.total_time = sr.io_time +
-                      std::max(sr.render_time, sr.lookup_time + sr.prefetch_time);
 
       // Timeline: the shared T_visible lookup runs once (worker 0's overlap
       // lane), then each worker prefetches its share during the render.
@@ -175,9 +175,9 @@ ParallelRunResult ParallelPipeline::run(const CameraPath& path) {
                                 prefetch_start + worker_pf[w],
                                 worker_pf_blocks[w]});
       }
-    } else {
-      sr.total_time = sr.io_time + sr.render_time;
     }
+    sr.total_time = overlapped_step_time(sr.io_time, sr.render_time,
+                                         sr.lookup_time, sr.prefetch_time);
 
     step_hist.observe(sr.total_time);
     clock += sr.total_time;
@@ -191,12 +191,7 @@ ParallelRunResult ParallelPipeline::run(const CameraPath& path) {
   }
   result.fast_miss_rate =
       lookups ? static_cast<double>(misses) / static_cast<double>(lookups) : 0.0;
-  for (const StepResult& s : result.steps) {
-    result.io_time += s.io_time;
-    result.prefetch_time += s.prefetch_time;
-    result.render_time += s.render_time;
-    result.total_time += s.total_time;
-  }
+  result.add_steps(result.steps);
   result.fetch_speedup =
       result.io_time > 0.0 ? summed_io_work / result.io_time : 1.0;
   metrics_->counter("pipeline.steps").inc(path.size());

@@ -13,17 +13,15 @@ struct WorkerStats {
   double entropy_load = 0.0;  ///< summed entropy of demand-fetched blocks
 };
 
-/// Whole-run result of a parallel exploration.
-struct ParallelRunResult {
+/// Whole-run result of a parallel exploration. Its RunTotals sum the
+/// per-step makespans (a step's io and prefetch time are its slowest
+/// worker's).
+struct ParallelRunResult : RunTotals {
   std::vector<StepResult> steps;
   std::vector<WorkerStats> workers;
   StepTimeline timeline;          ///< per-worker spans on the simulated clock
   MetricsSnapshot metrics;        ///< registry snapshot taken at run end
   double fast_miss_rate = 0.0;
-  SimSeconds io_time = 0.0;       ///< sum over steps of per-step makespans
-  SimSeconds prefetch_time = 0.0; ///< idem for prefetch makespans
-  SimSeconds render_time = 0.0;
-  SimSeconds total_time = 0.0;
 
   /// Ratio of the summed single-worker work to the makespan-time — the
   /// effective parallel speedup achieved by the partitioning.

@@ -1,7 +1,5 @@
 #include "core/pipeline.hpp"
 
-#include <algorithm>
-
 #include "util/error.hpp"
 
 namespace vizcache {
@@ -25,6 +23,48 @@ VizPipeline::VizPipeline(const BlockGrid& grid, MemoryHierarchy hierarchy,
   }
 }
 
+void RunTotals::add_steps(const std::vector<StepResult>& steps) {
+  for (const StepResult& s : steps) {
+    io_time += s.io_time;
+    lookup_time += s.lookup_time;
+    prefetch_time += s.prefetch_time;
+    render_time += s.render_time;
+    total_time += s.total_time;
+  }
+}
+
+RunResult run_steps(
+    usize steps, bool app_aware, const MemoryHierarchy& hierarchy,
+    MetricsRegistry& metrics,
+    const std::function<StepResult(usize, TraceRecorder&)>& step) {
+  RunResult result;
+  result.steps.reserve(steps);
+  MetricHistogram& step_hist = metrics.histogram(
+      "pipeline.step.total_seconds", latency_seconds_bounds());
+  SimSeconds clock = 0.0;
+  for (usize i = 0; i < steps; ++i) {
+    const StepResult sr = step(i, result.trace);
+    result.steps.push_back(sr);
+    step_hist.observe(sr.total_time);
+    record_step_spans(result.timeline, sr, 0, clock, app_aware);
+    clock += sr.total_time;
+  }
+
+  result.hierarchy = hierarchy.stats();
+  result.fast_miss_rate = result.hierarchy.fast_miss_rate();
+  result.total_miss_rate = result.hierarchy.total_miss_rate();
+  result.add_steps(result.steps);
+  metrics.counter("pipeline.steps").inc(steps);
+  metrics.gauge("pipeline.io_seconds").set(result.io_time);
+  metrics.gauge("pipeline.lookup_seconds").set(result.lookup_time);
+  metrics.gauge("pipeline.prefetch_seconds").set(result.prefetch_time);
+  metrics.gauge("pipeline.render_seconds").set(result.render_time);
+  metrics.gauge("pipeline.total_seconds").set(result.total_time);
+  metrics.gauge("pipeline.fast_miss_rate").set(result.fast_miss_rate);
+  result.metrics = metrics.snapshot();
+  return result;
+}
+
 RunResult VizPipeline::run(const CameraPath& path,
                            const QuerySchedule* schedule) {
   VIZ_REQUIRE(!path.empty(), "empty camera path");
@@ -43,60 +83,13 @@ RunResult VizPipeline::run(const CameraPath& path,
         [this](BlockId id) { hierarchy_.preload(id); });
   }
 
-  RunResult result;
-  result.steps.reserve(path.size());
-  MetricHistogram& step_hist = metrics_->histogram(
-      "pipeline.step.total_seconds", latency_seconds_bounds());
-  SimSeconds clock = 0.0;
   // Steps are 1-based so preloaded blocks (step 0) are evictable at step 1.
-  for (usize i = 0; i < path.size(); ++i) {
-    const RegionQuery* query =
-        schedule ? &schedule->active_at(i) : nullptr;
-    const StepResult sr = run_step(path[i], i + 1, query, result.trace);
-    result.steps.push_back(sr);
-    step_hist.observe(sr.total_time);
-
-    // Timeline spans of this step on the run's simulated clock. Demand
-    // fetches come first; the render starts once they land; the app-aware
-    // lookup + prefetch pass runs concurrently with the render (Algorithm 1
-    // line 22) and lands on the overlap lane.
-    const SimSeconds render_start = clock + sr.io_time;
-    result.timeline.record({StepEvent::Kind::kFetch, sr.step, 0, clock,
-                            render_start, sr.visible_blocks});
-    result.timeline.record({StepEvent::Kind::kRender, sr.step, 0, render_start,
-                            render_start + sr.render_time, 0});
-    if (config_.app_aware) {
-      const SimSeconds lookup_end = render_start + sr.lookup_time;
-      result.timeline.record(
-          {StepEvent::Kind::kLookup, sr.step, 0, render_start, lookup_end, 0});
-      if (sr.prefetched > 0 || sr.prefetch_time > 0.0) {
-        result.timeline.record({StepEvent::Kind::kPrefetch, sr.step, 0,
-                                lookup_end, lookup_end + sr.prefetch_time,
-                                sr.prefetched});
-      }
-    }
-    clock += sr.total_time;
-  }
-
-  result.hierarchy = hierarchy_.stats();
-  result.fast_miss_rate = result.hierarchy.fast_miss_rate();
-  result.total_miss_rate = result.hierarchy.total_miss_rate();
-  for (const StepResult& s : result.steps) {
-    result.io_time += s.io_time;
-    result.lookup_time += s.lookup_time;
-    result.prefetch_time += s.prefetch_time;
-    result.render_time += s.render_time;
-    result.total_time += s.total_time;
-  }
-  metrics_->counter("pipeline.steps").inc(path.size());
-  metrics_->gauge("pipeline.io_seconds").set(result.io_time);
-  metrics_->gauge("pipeline.lookup_seconds").set(result.lookup_time);
-  metrics_->gauge("pipeline.prefetch_seconds").set(result.prefetch_time);
-  metrics_->gauge("pipeline.render_seconds").set(result.render_time);
-  metrics_->gauge("pipeline.total_seconds").set(result.total_time);
-  metrics_->gauge("pipeline.fast_miss_rate").set(result.fast_miss_rate);
-  result.metrics = metrics_->snapshot();
-  return result;
+  return run_steps(path.size(), config_.app_aware, hierarchy_, *metrics_,
+                   [&](usize i, TraceRecorder& trace) {
+                     const RegionQuery* query =
+                         schedule ? &schedule->active_at(i) : nullptr;
+                     return run_step(path[i], i + 1, query, trace);
+                   });
 }
 
 StepResult VizPipeline::run_step(const Camera& camera, u64 step,
@@ -129,7 +122,6 @@ StepResult VizPipeline::run_step(const Camera& camera, u64 step,
     // view point and prefetch the predicted blocks whose entropy exceeds
     // sigma. Prefetch time overlaps rendering.
     sr.lookup_time = table_->lookup_time(config_.lookup_cost);
-    const std::vector<BlockId>& predicted = table_->query(camera.position());
 
     // Paper Section IV-B "ideal case": predicted + current visible blocks
     // together fill fast memory. Budget prefetching to the DRAM space not
@@ -140,32 +132,27 @@ StepResult VizPipeline::run_step(const Camera& camera, u64 step,
     const u64 capacity = hierarchy_.cache(0).capacity_bytes();
     u64 budget = capacity > visible_bytes ? capacity - visible_bytes : 0;
 
-    std::vector<BlockId> candidates;
-    candidates.reserve(predicted.size());
-    for (BlockId id : predicted) {
-      if (importance_->entropy(id) <= config_.sigma_bits) continue;
-      // Under an active query, blocks that cannot contain matching values
-      // are not worth prefetching either.
-      if (query && !query->may_match(*metadata_, id)) continue;
-      if (hierarchy_.resident_fast(id)) continue;
-      candidates.push_back(id);
+    // Under an active query, blocks that cannot contain matching values are
+    // not worth prefetching either.
+    std::function<bool(BlockId)> may_match;
+    if (query) {
+      may_match = [&](BlockId id) { return query->may_match(*metadata_, id); };
     }
-    std::sort(candidates.begin(), candidates.end(), [this](BlockId a, BlockId b) {
-      return importance_->entropy(a) > importance_->entropy(b);
-    });
-    for (BlockId id : candidates) {
-      const u64 bytes = grid_.block_bytes(id);
-      if (bytes > budget) break;
-      budget -= bytes;
-      sr.prefetch_time += hierarchy_.prefetch(id, step);
-      ++sr.prefetched;
-    }
-    sr.total_time =
-        sr.io_time + std::max(sr.render_time, sr.lookup_time + sr.prefetch_time);
-  } else {
-    // Baselines cannot overlap: I/O is idle during rendering (Section IV-D).
-    sr.total_time = sr.io_time + sr.render_time;
+    const std::vector<BlockId> candidates = rank_prefetch(
+        *importance_, config_.sigma_bits, table_->query(camera.position()),
+        [this](BlockId id) { return hierarchy_.resident_fast(id); }, may_match);
+    sr.prefetched = spend_prefetch(
+        candidates, budget,
+        [this](BlockId id) { return grid_.block_bytes(id); },
+        [&](BlockId id) {
+          sr.prefetch_time += hierarchy_.prefetch(id, step);
+          return true;
+        });
   }
+  // Baselines cannot overlap: I/O is idle during rendering (Section IV-D),
+  // and their lookup and prefetch times are zero.
+  sr.total_time = overlapped_step_time(sr.io_time, sr.render_time,
+                                       sr.lookup_time, sr.prefetch_time);
   return sr;
 }
 

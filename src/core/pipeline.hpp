@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -26,13 +27,29 @@ struct StepResult {
   SimSeconds lookup_time = 0.0; ///< T_visible nearest-sample query time
   SimSeconds prefetch_time = 0.0;
   SimSeconds render_time = 0.0;
-  /// Step wall time. Baselines: io + render. App-aware: io + max(render,
-  /// lookup + prefetch) — prefetching overlaps rendering (paper Section V-D).
+  /// Step wall time, overlapped_step_time(): io + max(render, lookup +
+  /// prefetch) — prefetching overlaps rendering (paper Section V-D).
   SimSeconds total_time = 0.0;
 };
 
+/// A run's per-step times summed over its steps; every pipeline's run
+/// result carries these totals.
+struct RunTotals {
+  SimSeconds io_time = 0.0;
+  SimSeconds lookup_time = 0.0;
+  SimSeconds prefetch_time = 0.0;
+  SimSeconds render_time = 0.0;
+  SimSeconds total_time = 0.0;
+
+  /// Add every step's times, field by field in step order.
+  void add_steps(const std::vector<StepResult>& steps);
+
+  /// The paper's Fig. 7b metric: demand I/O plus table-lookup overhead.
+  SimSeconds io_plus_lookup() const { return io_time + lookup_time; }
+};
+
 /// Whole-run aggregate.
-struct RunResult {
+struct RunResult : RunTotals {
   std::vector<StepResult> steps;
   HierarchyStats hierarchy;
   TraceRecorder trace;          ///< demand accesses, for Belady replays
@@ -41,15 +58,42 @@ struct RunResult {
 
   double fast_miss_rate = 0.0;  ///< DRAM-level miss fraction
   double total_miss_rate = 0.0; ///< paper's multi-level miss rate
-  SimSeconds io_time = 0.0;
-  SimSeconds lookup_time = 0.0;
-  SimSeconds prefetch_time = 0.0;
-  SimSeconds render_time = 0.0;
-  SimSeconds total_time = 0.0;
-
-  /// The paper's Fig. 7b metric: demand I/O plus table-lookup overhead.
-  SimSeconds io_plus_lookup() const { return io_time + lookup_time; }
 };
+
+/// Record one step's spans on `lane` of `timeline`, from `clock` on the
+/// simulated clock: the demand fetches first, the render once they land,
+/// and for an `app_aware` step the lookup + prefetch pass running beside the
+/// render (Algorithm 1 line 22); a prefetch span only when the pass did
+/// anything. `Step` is StepResult or the service's SessionStepResult.
+template <class Step>
+void record_step_spans(StepTimeline& timeline, const Step& sr, u32 lane,
+                       SimSeconds clock, bool app_aware) {
+  const SimSeconds render_start = clock + sr.io_time;
+  timeline.record({StepEvent::Kind::kFetch, sr.step, lane, clock, render_start,
+                   sr.visible_blocks});
+  timeline.record({StepEvent::Kind::kRender, sr.step, lane, render_start,
+                   render_start + sr.render_time, 0});
+  if (!app_aware) return;
+  const SimSeconds lookup_end = render_start + sr.lookup_time;
+  timeline.record(
+      {StepEvent::Kind::kLookup, sr.step, lane, render_start, lookup_end, 0});
+  if (sr.prefetched > 0 || sr.prefetch_time > 0.0) {
+    timeline.record({StepEvent::Kind::kPrefetch, sr.step, lane, lookup_end,
+                     lookup_end + sr.prefetch_time, sr.prefetched});
+  }
+}
+
+/// The run loop of the single-hierarchy pipelines (VizPipeline,
+/// TemporalPipeline): calls `step(index, trace)` for index 0..steps-1 and
+/// records each result — the `pipeline.step.total_seconds` histogram and
+/// the step's timeline spans (record_step_spans, lane 0) on the run's
+/// simulated clock. Then it sums the totals, takes `hierarchy`'s miss
+/// rates, sets the `pipeline.*` instruments and snapshots `metrics` into the
+/// result.
+RunResult run_steps(
+    usize steps, bool app_aware, const MemoryHierarchy& hierarchy,
+    MetricsRegistry& metrics,
+    const std::function<StepResult(usize, TraceRecorder&)>& step);
 
 /// Configuration of one visualization run over a camera path.
 struct PipelineConfig {

@@ -16,7 +16,9 @@ TemporalPipeline::TemporalPipeline(
       playback_(playback),
       table_(table),
       importance_(importance_per_step),
-      bounds_(grid) {
+      bounds_(grid),
+      metrics_(std::make_unique<MetricsRegistry>()) {
+  hierarchy_.bind_metrics(metrics_.get());
   VIZ_REQUIRE(playback_.timesteps >= 1, "need at least one timestep");
   VIZ_REQUIRE(playback_.steps_per_timestep >= 1,
               "steps_per_timestep must be >= 1");
@@ -42,6 +44,7 @@ usize TemporalPipeline::timestep_at(usize path_index) const {
 RunResult TemporalPipeline::run(const CameraPath& path) {
   VIZ_REQUIRE(!path.empty(), "empty camera path");
   hierarchy_.reset();
+  metrics_->reset();
 
   // Preload: the most important blocks of the FIRST timestep (playback
   // starts there).
@@ -56,24 +59,10 @@ RunResult TemporalPipeline::run(const CameraPath& path) {
         });
   }
 
-  RunResult result;
-  result.steps.reserve(path.size());
-  for (usize i = 0; i < path.size(); ++i) {
-    result.steps.push_back(
-        run_step(path[i], i + 1, timestep_at(i), result.trace));
-  }
-
-  result.hierarchy = hierarchy_.stats();
-  result.fast_miss_rate = result.hierarchy.fast_miss_rate();
-  result.total_miss_rate = result.hierarchy.total_miss_rate();
-  for (const StepResult& s : result.steps) {
-    result.io_time += s.io_time;
-    result.lookup_time += s.lookup_time;
-    result.prefetch_time += s.prefetch_time;
-    result.render_time += s.render_time;
-    result.total_time += s.total_time;
-  }
-  return result;
+  return run_steps(path.size(), config_.app_aware, hierarchy_, *metrics_,
+                   [&](usize i, TraceRecorder& trace) {
+                     return run_step(path[i], i + 1, timestep_at(i), trace);
+                   });
 }
 
 StepResult TemporalPipeline::run_step(const Camera& camera, u64 step,
@@ -98,27 +87,22 @@ StepResult TemporalPipeline::run_step(const Camera& camera, u64 step,
 
   if (config_.app_aware) {
     sr.lookup_time = table_->lookup_time(config_.lookup_cost);
-    const ImportanceTable& imp = (*importance_)[timestep];
 
     const u64 capacity = hierarchy_.cache(0).capacity_bytes();
     u64 budget = capacity > visible_bytes ? capacity - visible_bytes : 0;
 
     // Spatial prediction at the current timestep (paper Algorithm 1).
-    std::vector<BlockId> candidates;
-    for (BlockId id : table_->query(camera.position())) {
-      if (imp.entropy(id) <= config_.sigma_bits) continue;
-      BlockId key = TimeBlockKey::pack(id, timestep, nblocks);
-      if (hierarchy_.resident_fast(key)) continue;
-      candidates.push_back(id);
-    }
-    std::sort(candidates.begin(), candidates.end(),
-              [&imp](BlockId a, BlockId b) {
-                return imp.entropy(a) > imp.entropy(b);
-              });
+    const std::vector<BlockId> candidates = rank_prefetch(
+        (*importance_)[timestep], config_.sigma_bits,
+        table_->query(camera.position()), [&](BlockId id) {
+          return hierarchy_.resident_fast(
+              TimeBlockKey::pack(id, timestep, nblocks));
+        });
 
     // Temporal prediction: the playback clock is deterministic, so the
     // current view's blocks at the NEXT timestep are near-certain future
-    // requests. They are queued after the spatial candidates.
+    // requests. They are queued after the spatial candidates, in view order,
+    // and spend what the spatial pass left of the same budget.
     std::vector<BlockId> temporal;
     usize next_t = timestep + 1;
     if (playback_.loop) next_t %= playback_.timesteps;
@@ -134,24 +118,23 @@ StepResult TemporalPipeline::run_step(const Camera& camera, u64 step,
       }
     }
 
-    auto prefetch_keys = [&](const std::vector<BlockId>& ids, usize t) {
-      for (BlockId id : ids) {
-        const u64 bytes = grid_.block_bytes(id);
-        if (bytes > budget) return;
-        budget -= bytes;
+    const auto bytes_of = [this](BlockId id) { return grid_.block_bytes(id); };
+    const auto prefetch_at = [&](usize t) {
+      return [&, t](BlockId id) {
         sr.prefetch_time +=
             hierarchy_.prefetch(TimeBlockKey::pack(id, t, nblocks), step);
-        ++sr.prefetched;
-      }
+        return true;
+      };
     };
-    prefetch_keys(candidates, timestep);
-    if (time_advances) prefetch_keys(temporal, next_t);
-
-    sr.total_time =
-        sr.io_time + std::max(sr.render_time, sr.lookup_time + sr.prefetch_time);
-  } else {
-    sr.total_time = sr.io_time + sr.render_time;
+    sr.prefetched =
+        spend_prefetch(candidates, budget, bytes_of, prefetch_at(timestep));
+    if (time_advances) {
+      sr.prefetched +=
+          spend_prefetch(temporal, budget, bytes_of, prefetch_at(next_t));
+    }
   }
+  sr.total_time = overlapped_step_time(sr.io_time, sr.render_time,
+                                       sr.lookup_time, sr.prefetch_time);
   return sr;
 }
 

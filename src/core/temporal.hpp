@@ -64,6 +64,10 @@ class TemporalPipeline {
 
   RunResult run(const CameraPath& path);
 
+  /// The pipeline's metric registry, as VizPipeline::metrics(): reset at the
+  /// start of every run(), snapshotted into RunResult::metrics at its end.
+  MetricsRegistry& metrics() { return *metrics_; }
+
   /// Timestep active at a 0-based path index.
   usize timestep_at(usize path_index) const;
 
@@ -78,6 +82,8 @@ class TemporalPipeline {
   const VisibilityTable* table_;
   const std::vector<ImportanceTable>* importance_;
   BlockBoundsIndex bounds_;
+  /// Heap-owned for movability (see VizPipeline::metrics_).
+  std::unique_ptr<MetricsRegistry> metrics_;
 };
 
 /// Hierarchy sized for a time-varying dataset: capacity ratios are applied

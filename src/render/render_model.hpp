@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+
 #include "util/types.hpp"
 
 namespace vizcache {
@@ -17,6 +19,15 @@ struct RenderTimeModel {
     return base_s + per_block_s * static_cast<double>(visible_blocks);
   }
 };
+
+/// Wall time of one exploration step: the demand fetches land, then the
+/// frame renders while the T_visible lookup and the prefetch pass run
+/// beside it (paper Section V-D), so only what outlasts the render adds.
+/// Baselines pass zero lookup and prefetch time: io + render.
+inline SimSeconds overlapped_step_time(SimSeconds io, SimSeconds render,
+                                       SimSeconds lookup, SimSeconds prefetch) {
+  return io + std::max(render, lookup + prefetch);
+}
 
 /// GPU-class renderer (paper's testbed uses GPU-accelerated rendering).
 RenderTimeModel gpu_render_model();

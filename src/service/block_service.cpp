@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "core/pipeline.hpp"
 #include "util/error.hpp"
 
 namespace vizcache {
@@ -143,54 +144,42 @@ SessionStepResult BlockService::step(SessionId session, const Camera& camera) {
 
   if (config_.app_aware) {
     sr.lookup_time = table_->lookup_time(config_.lookup_cost);
-    const std::vector<BlockId>& predicted = table_->query(camera.position());
 
     u64 visible_bytes = 0;
     for (BlockId id : visible) visible_bytes += grid_.block_bytes(id);
     const u64 capacity = shared_.fast_capacity_bytes();
     u64 dram_budget = capacity > visible_bytes ? capacity - visible_bytes : 0;
 
-    std::vector<BlockId> candidates;
-    candidates.reserve(predicted.size());
-    for (BlockId id : predicted) {
-      if (importance_->entropy(id) <= config_.sigma_bits) continue;
-      if (shared_.resident_fast(id)) continue;
-      // analyze: allow(hot-path-alloc): per-step buffer, pre-reserved to the
-      // prediction size the line above; it must stay local — step() runs
-      // concurrently across sessions in this deliberately-unlocked region,
-      // so a hoisted member scratch would race.
-      candidates.push_back(id);
-    }
-    std::sort(candidates.begin(), candidates.end(),
-              [this](BlockId a, BlockId b) {
-                return importance_->entropy(a) > importance_->entropy(b);
-              });
-    for (BlockId id : candidates) {
-      const u64 bytes = grid_.block_bytes(id);
-      // DRAM-budget exhaustion ends the pass (Algorithm 1's rule)...
-      if (bytes > dram_budget) break;
-      // ...but blowing the session's fair share only sheds THIS block: a
-      // smaller candidate may still fit the share, and demand fetches are
-      // untouched either way.
-      if (bytes > prefetch_share) {
-        ++sr.prefetch_shed;
-        continue;
-      }
-      const SharedHierarchy::PrefetchResult pr = shared_.prefetch(id, epoch);
-      if (pr.suppressed) {
-        ++sr.prefetch_suppressed;
-        continue;  // in flight elsewhere: budget not consumed
-      }
-      dram_budget -= bytes;
-      prefetch_share -= bytes;
-      sr.prefetch_time += pr.seconds;
-      ++sr.prefetched;
-    }
-    sr.total_time =
-        sr.io_time + std::max(sr.render_time, sr.lookup_time + sr.prefetch_time);
-  } else {
-    sr.total_time = sr.io_time + sr.render_time;
+    const std::vector<BlockId> candidates = rank_prefetch(
+        *importance_, config_.sigma_bits, table_->query(camera.position()),
+        [this](BlockId id) { return shared_.resident_fast(id); });
+    // DRAM-budget exhaustion ends the pass (Algorithm 1's rule, inside
+    // spend_prefetch); a shed or suppressed block spends none of it.
+    sr.prefetched = spend_prefetch(
+        candidates, dram_budget,
+        [this](BlockId id) { return grid_.block_bytes(id); },
+        [&](BlockId id) {
+          // Blowing the session's fair share only sheds THIS block: a
+          // smaller candidate may still fit the share, and demand fetches
+          // are untouched either way.
+          const u64 bytes = grid_.block_bytes(id);
+          if (bytes > prefetch_share) {
+            ++sr.prefetch_shed;
+            return false;
+          }
+          const SharedHierarchy::PrefetchResult pr =
+              shared_.prefetch(id, epoch);
+          if (pr.suppressed) {
+            ++sr.prefetch_suppressed;
+            return false;  // in flight elsewhere: budget not consumed
+          }
+          prefetch_share -= bytes;
+          sr.prefetch_time += pr.seconds;
+          return true;
+        });
   }
+  sr.total_time = overlapped_step_time(sr.io_time, sr.render_time,
+                                       sr.lookup_time, sr.prefetch_time);
 
   shared_.end_step(epoch);
 
@@ -218,22 +207,9 @@ SessionStepResult BlockService::step(SessionId session, const Camera& camera) {
     sum.sim_time += sr.total_time;
 
     // Per-session timeline lane (worker == SessionId) on the session's own
-    // simulated clock, mirroring VizPipeline::run's span layout.
-    const u32 lane = static_cast<u32>(session);
-    const SimSeconds render_start = state.clock + sr.io_time;
-    timeline_.record({StepEvent::Kind::kFetch, sr.step, lane, state.clock,
-                      render_start, sr.visible_blocks});
-    timeline_.record({StepEvent::Kind::kRender, sr.step, lane, render_start,
-                      render_start + sr.render_time, 0});
-    if (config_.app_aware) {
-      const SimSeconds lookup_end = render_start + sr.lookup_time;
-      timeline_.record({StepEvent::Kind::kLookup, sr.step, lane, render_start,
-                        lookup_end, 0});
-      if (sr.prefetched > 0 || sr.prefetch_time > 0.0) {
-        timeline_.record({StepEvent::Kind::kPrefetch, sr.step, lane, lookup_end,
-                          lookup_end + sr.prefetch_time, sr.prefetched});
-      }
-    }
+    // simulated clock, in VizPipeline::run's span layout.
+    record_step_spans(timeline_, sr, static_cast<u32>(session), state.clock,
+                      config_.app_aware);
     state.clock += sr.total_time;
   }
   return sr;

@@ -200,24 +200,41 @@ TEST_F(BlockServiceTest, AdmissionRejectsBeyondMaxSessions) {
 }
 
 TEST_F(BlockServiceTest, TinyPrefetchBudgetShedsPrefetchNeverDemand) {
-  ServiceConfig cfg = make_config();
-  cfg.aggregate_prefetch_budget_bytes = 1;  // below any block's size
-  auto svc = make_service(cfg);
-  const auto id = svc->open_session();
-  ASSERT_TRUE(id.has_value());
-  u64 shed = 0, prefetched = 0, demand = 0;
-  for (const Camera& cam : path(20)) {
-    const SessionStepResult sr = svc->step(*id, cam);
-    shed += sr.prefetch_shed;
-    prefetched += sr.prefetched;
-    demand += sr.visible_blocks;
+  // A budget of 1 byte is below any block's size, so every prefetch is
+  // shed. A budget one byte short of a full brick sheds every full brick;
+  // a shed block spends no DRAM budget and the pass goes on, so the smaller
+  // edge bricks behind it are still prefetched.
+  u64 largest = 0;
+  for (BlockId b = 0; b < bench_->grid().block_count(); ++b) {
+    largest = std::max(largest, bench_->grid().block_bytes(b));
   }
-  EXPECT_EQ(prefetched, 0u);  // every prefetch shed...
-  EXPECT_GT(shed, 0u);
-  EXPECT_GT(demand, 0u);  // ...but demand went through untouched
-  EXPECT_EQ(svc->metrics().counter("service.demand.requests").value(), demand);
-  EXPECT_EQ(svc->metrics().counter("service.prefetch.blocks").value(), 0u);
-  EXPECT_EQ(svc->metrics().counter("service.prefetch.shed").value(), shed);
+  for (const u64 budget : {u64{1}, largest - 1}) {
+    SCOPED_TRACE(::testing::Message() << "aggregate budget " << budget);
+    ServiceConfig cfg = make_config();
+    cfg.aggregate_prefetch_budget_bytes = budget;
+    auto svc = make_service(cfg);
+    const auto id = svc->open_session();
+    ASSERT_TRUE(id.has_value());
+    u64 shed = 0, prefetched = 0, demand = 0;
+    for (const Camera& cam : path(20)) {
+      const SessionStepResult sr = svc->step(*id, cam);
+      shed += sr.prefetch_shed;
+      prefetched += sr.prefetched;
+      demand += sr.visible_blocks;
+    }
+    if (budget == 1) {
+      EXPECT_EQ(prefetched, 0u);  // every prefetch shed...
+    } else {
+      EXPECT_GT(prefetched, 0u);  // ...or only those larger than the share
+    }
+    EXPECT_GT(shed, 0u);
+    EXPECT_GT(demand, 0u);  // ...but demand went through untouched
+    EXPECT_EQ(svc->metrics().counter("service.demand.requests").value(),
+              demand);
+    EXPECT_EQ(svc->metrics().counter("service.prefetch.blocks").value(),
+              prefetched);
+    EXPECT_EQ(svc->metrics().counter("service.prefetch.shed").value(), shed);
+  }
 }
 
 // The point of sharing: a session walking ground another session already
